@@ -1,5 +1,5 @@
 //! Plain-`std` microbenchmark of the runtime-selection hot paths: cold
-//! selection, cached replay, batched replay and the exhaustive Oracle.
+//! selection, cached replay and the exhaustive Oracle.
 //!
 //! The Criterion benches under `benches/` cannot be compiled in this
 //! environment (no registry access), so this binary keeps the inference-path
@@ -72,13 +72,8 @@ fn main() {
     ];
 
     println!(
-        "{:<14} {:>18} {:>16} {:>16} {:>16} {:>14}",
-        "matrix",
-        "first contact (ns)",
-        "cold select (ns)",
-        "cached hit (ns)",
-        "batch/plan (ns)",
-        "oracle (ns)"
+        "{:<14} {:>18} {:>16} {:>16} {:>14}",
+        "matrix", "first contact (ns)", "cold select (ns)", "cached hit (ns)", "oracle (ns)"
     );
     for (name, matrix) in &matrices {
         // First contact: empty fingerprint cache AND empty plan cache, i.e.
@@ -108,15 +103,11 @@ fn main() {
         let cached = time_per_call(100_000, || {
             let _ = engine.select(matrix, 1);
         });
-        let requests = [(matrix as &CsrMatrix, 1usize); 64];
-        let batch = time_per_call(1_000, || {
-            let _ = engine.select_batch(&requests);
-        }) / 64.0;
         let oracle_time = time_per_call(100, || {
             let _ = oracle.best_kernel(matrix, 1);
         });
         println!(
-            "{name:<14} {first_contact:>18.0} {cold:>16.0} {cached:>16.0} {batch:>16.0} {oracle_time:>14.0}"
+            "{name:<14} {first_contact:>18.0} {cold:>16.0} {cached:>16.0} {oracle_time:>14.0}"
         );
     }
 

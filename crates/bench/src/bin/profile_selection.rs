@@ -23,9 +23,10 @@
 //!    prepared-plan caches warm, the engine's warm execute into a reused
 //!    [`EngineWorkspace`] must perform **zero** heap allocations per request.
 //!    `--mode prepared` (default) pins the prepared-plan path
-//!    (`execute_into`); `--mode streaming` pins the PR-3 streaming baseline
-//!    (`execute_streaming_into`); the allocating `execute` wrapper (the old
-//!    hot path) is measured next to both.
+//!    (`execute_into`); `--mode streaming` pins the streaming baseline (a
+//!    warm `select` plus the chosen kernel's `compute_into`, which
+//!    re-derives its auxiliary structures per call, into the bench's own
+//!    buffers); the allocating `execute` wrapper is measured next to both.
 //! 3. **Warm prepared vs streaming** — on the merge-path/ELL-heavy corpus
 //!    slice (every matrix under `CSR,MP`, low-padding matrices additionally
 //!    under `ELL,TM` — the kernels whose streaming `compute_into` re-derives
@@ -95,7 +96,8 @@ const LEGACY_SWEEPS_PER_SELECTION: u64 = 10;
 enum Mode {
     /// The prepared-plan warm path (`execute_into`), the serving default.
     Prepared,
-    /// The PR-3 streaming baseline (`execute_streaming_into`).
+    /// The streaming baseline: a warm `select` plus the kernel's
+    /// `compute_into`.
     Streaming,
 }
 
@@ -299,20 +301,32 @@ fn main() {
     let steady_iters: u64 = if options.smoke { 2_000 } else { 20_000 };
     let mode_label = match options.mode {
         Mode::Prepared => "execute_into (prepared)",
-        Mode::Streaming => "execute_streaming_into",
+        Mode::Streaming => "select + compute_into",
     };
-    // Warm every cache and the workspace buffers.
+    let mut streaming_y = vec![0.0; hot.rows()];
+    let mut streaming_scratch = ComputeScratch::new();
+    let mut steady_request = || match options.mode {
+        Mode::Prepared => {
+            let _ = engine.execute_into(hot, &x, 19, &mut workspace);
+        }
+        Mode::Streaming => {
+            let selection = engine.select(hot, 19);
+            kernel(selection.kernel).compute_into(
+                hot,
+                &x,
+                &mut streaming_y,
+                &mut streaming_scratch,
+            );
+        }
+    };
+    // Warm every cache and the buffers.
     for _ in 0..3 {
-        let _ = engine.execute_into(hot, &x, 19, &mut workspace);
-        let _ = engine.execute_streaming_into(hot, &x, 19, &mut workspace);
+        steady_request();
     }
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
     let steady_start = Instant::now();
     for _ in 0..steady_iters {
-        let _ = match options.mode {
-            Mode::Prepared => engine.execute_into(hot, &x, 19, &mut workspace),
-            Mode::Streaming => engine.execute_streaming_into(hot, &x, 19, &mut workspace),
-        };
+        steady_request();
     }
     let steady_secs = steady_start.elapsed().as_secs_f64();
     let steady_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;

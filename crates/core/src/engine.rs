@@ -879,7 +879,7 @@ struct SelectionCtx<'m> {
 }
 
 /// The Seer runtime engine: the three trained models bound to a device
-/// fleet, with per-matrix plan caching and batch entry points.
+/// fleet, with per-matrix plan caching and one fallible execute core.
 ///
 /// The engine is owned (`'static`) and `Send + Sync`; wrap it in an
 /// [`Arc`] to serve selections from many threads. See the
@@ -1777,24 +1777,8 @@ impl SeerEngine {
     ///
     /// Panics if `x.len() != matrix.cols()`.
     pub fn execute(&self, matrix: &CsrMatrix, x: &[Scalar], iterations: usize) -> ExecutionOutcome {
-        self.execute_with_policy(matrix, x, iterations, SelectionPolicy::Adaptive)
-    }
-
-    /// [`SeerEngine::execute`] under an explicit [`SelectionPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != matrix.cols()`.
-    pub fn execute_with_policy(
-        &self,
-        matrix: &CsrMatrix,
-        x: &[Scalar],
-        iterations: usize,
-        policy: SelectionPolicy,
-    ) -> ExecutionOutcome {
         let mut workspace = EngineWorkspace::new();
-        let (selection, total_time) =
-            self.execute_with_policy_into(matrix, x, iterations, policy, &mut workspace);
+        let (selection, total_time) = self.execute_into(matrix, x, iterations, &mut workspace);
         ExecutionOutcome {
             selection,
             result: workspace.take_result(),
@@ -1807,9 +1791,16 @@ impl SeerEngine {
     /// across requests. Returns the selection and the modelled end-to-end
     /// time; the product is available as [`EngineWorkspace::result`].
     ///
-    /// In steady state (plan, profile and timing caches warm) a call performs
-    /// zero heap allocations — the serving hot path the `profile_selection`
-    /// bench pins.
+    /// The chosen kernel runs through its cached [`PreparedPlan`]
+    /// (materialized once per `(matrix, kernel)` on the first contact), so
+    /// the warm path replays the merge-path partition table / ELL slab / row
+    /// bins instead of re-deriving them. In steady state (plan, profile and
+    /// timing caches warm) a call performs zero heap allocations — the hot
+    /// path the `profile_selection` bench pins.
+    ///
+    /// Device liveness is not checked: a sequential caller owns its fleet.
+    /// Serving workers use the fenced [`SeerEngine::activate_plan`] +
+    /// [`SeerEngine::try_execute_activated_into`] pair instead.
     ///
     /// # Panics
     ///
@@ -1821,99 +1812,21 @@ impl SeerEngine {
         iterations: usize,
         workspace: &mut EngineWorkspace,
     ) -> (Selection, SimTime) {
-        self.execute_with_policy_into(matrix, x, iterations, SelectionPolicy::Adaptive, workspace)
-    }
-
-    /// [`SeerEngine::execute_into`] under an explicit [`SelectionPolicy`].
-    ///
-    /// The chosen kernel runs through its cached [`PreparedPlan`]
-    /// (materialized once per `(matrix, kernel)` on the first contact): the
-    /// warm path replays the merge-path partition table / ELL slab / row bins
-    /// instead of re-deriving them, stays allocation-free, and is
-    /// bit-identical to the streaming execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != matrix.cols()`.
-    pub fn execute_with_policy_into(
-        &self,
-        matrix: &CsrMatrix,
-        x: &[Scalar],
-        iterations: usize,
-        policy: SelectionPolicy,
-        workspace: &mut EngineWorkspace,
-    ) -> (Selection, SimTime) {
-        let (selection, charged_overhead) =
-            self.select_with_policy_charged(matrix, iterations, policy);
-        let plan = self.prepared_plan_on(matrix, selection.device, selection.kernel);
-        workspace.y.resize(matrix.rows(), 0.0);
-        kernel(selection.kernel).compute_prepared_into(
-            &plan,
-            matrix,
-            x,
-            &mut workspace.y,
-            &mut workspace.scratch,
-        );
-        // Only the selection work that actually ran on this call is billed:
-        // nothing for a plan replay, tree walks alone when the gathered
-        // features came from the feature cache. The embedded `selection`
-        // still reports the plan's intrinsic costs.
-        let observed = self.observe_execution(&selection, matrix, iterations);
-        (selection, charged_overhead + observed)
-    }
-
-    /// Fault-aware [`SeerEngine::execute_with_policy_into`]: identical
-    /// selection, billing and result on a healthy fleet, but executions
-    /// routed to a device that has failed or retired — including a device
-    /// killed *while the kernel was in flight* — return a typed
-    /// [`DeviceFailed`] instead of silently computing on dead hardware. The
-    /// caller (the serving pool's retry path, chiefly) decides whether to
-    /// re-submit elsewhere. On an error the workspace contents are
-    /// unspecified and no timing observation is recorded — a dead device
-    /// teaches the recalibration layer nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceFailed`] when the selected device is not live at
-    /// dispatch, or stopped being live before the execution completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != matrix.cols()`.
-    pub fn try_execute_with_policy_into(
-        &self,
-        matrix: &CsrMatrix,
-        x: &[Scalar],
-        iterations: usize,
-        policy: SelectionPolicy,
-        workspace: &mut EngineWorkspace,
-    ) -> Result<(Selection, SimTime), DeviceFailed> {
-        let (selection, charged_overhead) =
-            self.select_with_policy_charged(matrix, iterations, policy);
-        self.fleet.ensure_live(selection.device)?;
-        let plan = self.prepared_plan_on(matrix, selection.device, selection.kernel);
-        workspace.y.resize(matrix.rows(), 0.0);
-        kernel(selection.kernel).compute_prepared_into(
-            &plan,
-            matrix,
-            x,
-            &mut workspace.y,
-            &mut workspace.scratch,
-        );
-        // A death injected while the kernel was running is a mid-execution
-        // loss: the computed result is discarded, the error surfaces, and
-        // nothing is observed.
-        self.fleet.ensure_live(selection.device)?;
-        let observed = self.observe_execution(&selection, matrix, iterations);
-        Ok((selection, charged_overhead + observed))
+        let unfenced = self
+            .resolve_plan(matrix, iterations, SelectionPolicy::Adaptive, false)
+            .and_then(|activation| {
+                let observed =
+                    self.run_plan(&activation, matrix, x, iterations, false, workspace)?;
+                Ok((activation.selection, activation.charged_overhead + observed))
+            });
+        unfenced.expect("an unfenced execute never checks device liveness")
     }
 
     /// Resolves the selection and pins the prepared plan for `matrix` in one
-    /// step, without executing anything — the front half of
-    /// [`SeerEngine::try_execute_with_policy_into`], split out so a serving
-    /// worker can amortize it across a run of same-fingerprint requests
-    /// (see [`crate::serving::RoutingConfig`]). The returned activation
-    /// holds the pinned `Arc<PreparedPlan>`; executing it via
+    /// step, without executing anything. A serving worker activates once
+    /// per run of same-fingerprint requests (a single request is a run of
+    /// one), so a burst of K identical operators walks the plan cache once
+    /// instead of K times. Executing the returned activation via
     /// [`SeerEngine::try_execute_activated_into`] skips the selection
     /// resolve and the plan-cache walk entirely.
     ///
@@ -1930,25 +1843,19 @@ impl SeerEngine {
         iterations: usize,
         policy: SelectionPolicy,
     ) -> Result<PlanActivation, DeviceFailed> {
-        let (selection, charged_overhead) =
-            self.select_with_policy_charged(matrix, iterations, policy);
-        self.fleet.ensure_live(selection.device)?;
-        let plan = self.prepared_plan_on(matrix, selection.device, selection.kernel);
-        Ok(PlanActivation {
-            selection,
-            charged_overhead,
-            plan,
-        })
+        self.resolve_plan(matrix, iterations, policy, true)
     }
 
     /// Executes one request against an existing [`PlanActivation`]: the
-    /// plan replay, liveness fencing and timing observation of
-    /// [`SeerEngine::try_execute_with_policy_into`], minus the selection
-    /// resolve and plan-cache walk the activation already paid. `first`
-    /// decides whether this execution is billed the activation's charged
-    /// selection overhead (exactly once per activation, on the first
-    /// executed request) or replays as a pure plan hit (zero overhead) —
-    /// the same billing a sequential stream of identical requests sees.
+    /// plan replay and timing observation of [`SeerEngine::execute_into`],
+    /// minus the selection resolve and plan-cache walk the activation
+    /// already paid, fenced by device liveness. `first` decides whether this
+    /// execution is billed the activation's charged selection overhead
+    /// (exactly once per activation, on the first executed request) or
+    /// replays as a pure plan hit (zero overhead) — the same billing a
+    /// sequential stream of identical requests sees. On an error the
+    /// workspace contents are unspecified and no timing observation is
+    /// recorded — a dead device teaches the recalibration layer nothing.
     ///
     /// # Errors
     ///
@@ -1967,8 +1874,57 @@ impl SeerEngine {
         first: bool,
         workspace: &mut EngineWorkspace,
     ) -> Result<(Selection, SimTime), DeviceFailed> {
-        let selection = activation.selection;
-        self.fleet.ensure_live(selection.device)?;
+        let observed = self.run_plan(activation, matrix, x, iterations, true, workspace)?;
+        let charged = if first {
+            activation.charged_overhead
+        } else {
+            SimTime::ZERO
+        };
+        Ok((activation.selection, charged + observed))
+    }
+
+    /// The front half of every execute: the cache-aware selection, then —
+    /// when `fenced` — the liveness check of the placement device, then the
+    /// prepared-plan pin.
+    fn resolve_plan(
+        &self,
+        matrix: &CsrMatrix,
+        iterations: usize,
+        policy: SelectionPolicy,
+        fenced: bool,
+    ) -> Result<PlanActivation, DeviceFailed> {
+        let (selection, charged_overhead) =
+            self.select_with_policy_charged(matrix, iterations, policy);
+        if fenced {
+            self.fleet.ensure_live(selection.device)?;
+        }
+        let plan = self.prepared_plan_on(matrix, selection.device, selection.kernel);
+        Ok(PlanActivation {
+            selection,
+            charged_overhead,
+            plan,
+        })
+    }
+
+    /// The one execute body behind every entry point: run the pinned plan
+    /// into the workspace and return the observed modelled kernel time
+    /// (callers add whatever selection overhead they bill). When `fenced`,
+    /// the device must be live at dispatch and still live after the kernel:
+    /// a death injected mid-execution discards the result, surfaces the
+    /// error and observes nothing.
+    fn run_plan(
+        &self,
+        activation: &PlanActivation,
+        matrix: &CsrMatrix,
+        x: &[Scalar],
+        iterations: usize,
+        fenced: bool,
+        workspace: &mut EngineWorkspace,
+    ) -> Result<SimTime, DeviceFailed> {
+        let selection = &activation.selection;
+        if fenced {
+            self.fleet.ensure_live(selection.device)?;
+        }
         workspace.y.resize(matrix.rows(), 0.0);
         kernel(selection.kernel).compute_prepared_into(
             &activation.plan,
@@ -1977,61 +1933,10 @@ impl SeerEngine {
             &mut workspace.y,
             &mut workspace.scratch,
         );
-        self.fleet.ensure_live(selection.device)?;
-        let observed = self.observe_execution(&selection, matrix, iterations);
-        let charged = if first {
-            activation.charged_overhead
-        } else {
-            SimTime::ZERO
-        };
-        Ok((selection, charged + observed))
-    }
-
-    /// The PR-3-era streaming execute: identical selection, billing and
-    /// result to [`SeerEngine::execute_with_policy_into`], but the kernel
-    /// re-derives its auxiliary structures on every call instead of replaying
-    /// a prepared plan. Kept as the differential baseline the
-    /// `profile_selection` bench measures the prepared path against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != matrix.cols()`.
-    pub fn execute_streaming_with_policy_into(
-        &self,
-        matrix: &CsrMatrix,
-        x: &[Scalar],
-        iterations: usize,
-        policy: SelectionPolicy,
-        workspace: &mut EngineWorkspace,
-    ) -> (Selection, SimTime) {
-        let (selection, charged_overhead) =
-            self.select_with_policy_charged(matrix, iterations, policy);
-        workspace.y.resize(matrix.rows(), 0.0);
-        kernel(selection.kernel).compute_into(matrix, x, &mut workspace.y, &mut workspace.scratch);
-        let observed = self.observe_execution(&selection, matrix, iterations);
-        (selection, charged_overhead + observed)
-    }
-
-    /// [`SeerEngine::execute_streaming_with_policy_into`] under the adaptive
-    /// policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != matrix.cols()`.
-    pub fn execute_streaming_into(
-        &self,
-        matrix: &CsrMatrix,
-        x: &[Scalar],
-        iterations: usize,
-        workspace: &mut EngineWorkspace,
-    ) -> (Selection, SimTime) {
-        self.execute_streaming_with_policy_into(
-            matrix,
-            x,
-            iterations,
-            SelectionPolicy::Adaptive,
-            workspace,
-        )
+        if fenced {
+            self.fleet.ensure_live(selection.device)?;
+        }
+        Ok(self.observe_execution(selection, matrix, iterations))
     }
 
     /// The matrix's fused profile, answered from (and installed into) the
@@ -2239,33 +2144,6 @@ impl SeerEngine {
         self.counters
             .cache_evictions
             .fetch_add(shared_dropped, Ordering::Relaxed);
-    }
-
-    /// Selects kernels for a batch of `(matrix, iterations)` requests.
-    ///
-    /// Results are returned in request order. Duplicate matrices inside one
-    /// batch hit the plan cache just like repeated single calls, so a batch
-    /// of N requests over one distinct matrix pays for one selection.
-    pub fn select_batch(&self, requests: &[(&CsrMatrix, usize)]) -> Vec<Selection> {
-        requests
-            .iter()
-            .map(|&(matrix, iterations)| self.select(matrix, iterations))
-            .collect()
-    }
-
-    /// Executes a batch of `(matrix, x, iterations)` workloads, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any request has `x.len() != matrix.cols()`.
-    pub fn execute_batch(
-        &self,
-        requests: &[(&CsrMatrix, &[Scalar], usize)],
-    ) -> Vec<ExecutionOutcome> {
-        requests
-            .iter()
-            .map(|&(matrix, x, iterations)| self.execute(matrix, x, iterations))
-            .collect()
     }
 
     /// Maps a known-feature classifier output to a kernel, counting (and, in
@@ -2967,29 +2845,30 @@ mod tests {
     }
 
     #[test]
-    fn batch_entry_points_match_single_calls_and_share_plans() {
+    fn selects_and_executes_share_one_plan_cache() {
         let (engine, entries) = engine_and_collection();
         let a = &entries[0].matrix;
         let b = &entries[1].matrix;
-        let selections = engine.select_batch(&[(a, 1), (b, 1), (a, 1), (a, 19)]);
-        assert_eq!(selections.len(), 4);
+        let selections: Vec<Selection> = [(a, 1), (b, 1), (a, 1), (a, 19)]
+            .into_iter()
+            .map(|(matrix, iterations)| engine.select(matrix, iterations))
+            .collect();
         assert_eq!(selections[0], selections[2]);
         let stats = engine.stats();
         // (a,1), (b,1), (a,19) computed; second (a,1) replayed.
         assert_eq!(stats.plan_misses, 3);
         assert_eq!(stats.plan_hits, 1);
 
-        let x_a: Vec<f64> = vec![1.0; a.cols()];
-        let x_b: Vec<f64> = vec![1.0; b.cols()];
-        let outcomes = engine.execute_batch(&[(a, x_a.as_slice(), 1), (b, x_b.as_slice(), 1)]);
-        assert_eq!(outcomes.len(), 2);
-        for (outcome, reference) in outcomes.iter().zip([a.spmv(&x_a), b.spmv(&x_b)]) {
+        for matrix in [a, b] {
+            let x: Vec<f64> = vec![1.0; matrix.cols()];
+            let outcome = engine.execute(matrix, &x, 1);
+            let reference = matrix.spmv(&x);
             assert_eq!(outcome.result.len(), reference.len());
             for (got, want) in outcome.result.iter().zip(&reference) {
                 assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0));
             }
         }
-        // Both executes replayed plans cached by the select_batch above.
+        // Both executes replayed plans cached by the selects above.
         assert_eq!(engine.stats().plan_misses, 3);
     }
 
@@ -3050,15 +2929,17 @@ mod tests {
         }
         assert_eq!(engine.stats().plan_preparations, 1);
 
-        // The streaming baseline agrees bit for bit and builds no plans.
-        let mut streaming_ws = EngineWorkspace::new();
-        let (streaming_selection, _) =
-            engine.execute_streaming_into(matrix, &x, 19, &mut streaming_ws);
-        assert_eq!(streaming_selection, selection);
-        for (a, b) in streaming_ws.result().iter().zip(&cold) {
+        // The streaming kernel agrees bit for bit.
+        let mut streaming = vec![0.0; matrix.rows()];
+        kernel(selection.kernel).compute_into(
+            matrix,
+            &x,
+            &mut streaming,
+            &mut ComputeScratch::new(),
+        );
+        for (a, b) in streaming.iter().zip(&cold) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(engine.stats().plan_preparations, 1);
     }
 
     #[test]

@@ -5,21 +5,15 @@
 //! side (plan insertion, feature collection) serializes everything. The
 //! [`ServingPool`] scales the service out instead of up:
 //!
-//! * it owns `N` **shards**, each a private [`SeerEngine`] (own plan/feature
-//!   caches, own counters) sharing one device model and one set of trained
-//!   models, plus one `std::thread` worker draining a queue;
+//! * it owns `N` **shards**, each a private [`SeerEngine`] sharing one
+//!   device fleet and one set of trained models, plus one `std::thread`
+//!   worker draining a queue;
 //! * requests are routed by
 //!   [`sparsity_fingerprint`](seer_sparse::CsrMatrix::sparsity_fingerprint)` %
-//!   N` — the same key the engine caches under — so every distinct sparsity
-//!   pattern has exactly one home shard. Repeat traffic on a matrix always
-//!   lands on the shard that already cached its plan, *including* replays
-//!   after a value-only [`update_values`](seer_sparse::CsrMatrix::update_values)
-//!   mutation (values don't move a matrix off its home shard) — cache
-//!   locality survives concurrency, and no selection plan (nor prepared
-//!   execution plan: each shard's warm execute replays the cached
-//!   `(matrix, kernel)` [`seer_kernels::PreparedPlan`] instead of re-deriving
-//!   partition tables or padded layouts) is ever computed twice across shards
-//!   for the same key;
+//!   N` — the key the engine caches under, which a value-only
+//!   [`update_values`](seer_sparse::CsrMatrix::update_values) keeps — so
+//!   every sparsity pattern has one home shard and no selection or
+//!   [`seer_kernels::PreparedPlan`] is computed twice across shards;
 //! * [`ServingPool::submit`] is non-blocking and returns a [`Ticket`] that
 //!   resolves to the [`ServingResponse`]; [`ServingPool::drain`] blocks until
 //!   every accepted request has been served; [`ServingPool::shutdown`] drains,
@@ -30,6 +24,31 @@
 //! [`SeerEngine`] replay of the same request stream, whatever the
 //! thread/shard interleaving — `tests/serving_pool.rs` holds this invariant
 //! under an 8-thread hammer.
+//!
+//! # The serve path
+//!
+//! Seer pays for a selection once and replays the plan on every later
+//! execution, and a shard worker serves the same way. Each dequeue yields a
+//! *run*: the highest-priority queued job plus — up to
+//! [`RoutingConfig::max_batch`] — the adjacent jobs of its lane that share
+//! its sparsity fingerprint, workload kind, iteration count, policy and
+//! matrix content. A single request is a run of one; every run takes the
+//! one path:
+//!
+//! 1. **activation**, once per run: a select-only run resolves one
+//!    selection, an execute run resolves its selection and pins the
+//!    prepared plan ([`SeerEngine::activate_plan`]);
+//! 2. **execution**, once per job, replaying the pinned plan
+//!    ([`SeerEngine::try_execute_activated_into`]). The activation's
+//!    selection overhead is billed to the run's first executed job, exactly
+//!    as a sequential replay bills its first cache miss, so responses stay
+//!    **bit-identical** to sequential serving.
+//!
+//! Each job is checked against its deadline at dequeue (an expired job is
+//! shed, never executed); a panic fails only its own job
+//! ([`ServingError::WorkerDied`]) and the worker lives on; a dead device, at
+//! activation or mid-execution, gets one bounded retry on a fresh
+//! activation (see [Elastic membership](#elastic-membership)).
 //!
 //! # Heterogeneous fleets
 //!
@@ -49,9 +68,8 @@
 //! Because placement is deterministic, every `(fingerprint, device, kernel)`
 //! triple has exactly one home shard, so each prepared execution plan is
 //! still built exactly once pool-wide. [`PoolStats::devices`] reports
-//! per-device queue depth and served counts. A single-device pool skips the
-//! router entirely and routes by bare fingerprint — bit-identical to the
-//! pre-fleet pool.
+//! per-device queue depth and served counts. A single-device pool has no
+//! router and routes by bare fingerprint.
 //!
 //! # Elastic membership
 //!
@@ -61,14 +79,13 @@
 //! [`ServingPool::retire_device`] marks the device retired, narrowly
 //! invalidates its cached kernel costs and prepared plans on every engine
 //! ([`SeerEngine::invalidate_device`]), unpublishes its shard group and
-//! drains the group's backlog onto surviving devices. A request whose
-//! placement device dies mid-execution (fault injection:
-//! [`Fleet::fail_device`]) is retried exactly once on a surviving device —
-//! counted in [`ShardStats::device_failures`], [`ShardStats::retried`] and
-//! [`ShardStats::migrated`] — so its [`Ticket`] resolves to a correct
-//! response instead of an error; [`ServingError::WorkerDied`] stays
-//! reserved for genuine worker panics. A pool whose membership never
-//! changes behaves bit-identically to one without these hooks.
+//! drains the group's backlog onto surviving devices. A job whose placement
+//! device is dead ([`Fleet::fail_device`]) is retried exactly once on a
+//! fresh activation, which lands on a survivor — counted in
+//! [`ShardStats::device_failures`], [`ShardStats::retried`] and
+//! [`ShardStats::migrated`]; a retry that dies too resolves to
+//! [`ServingError::DeviceFailed`]. A pool whose membership never changes
+//! keeps every elastic counter at zero.
 //!
 //! # Admission control & overload
 //!
@@ -81,66 +98,47 @@
 //! ([`AdmissionConfig::max_in_flight`]). [`ServingPool::try_submit`] never
 //! blocks: it returns [`SubmitOutcome::Accepted`] with a ticket or
 //! [`SubmitOutcome::Shed`] with a typed [`ShedReason`].
-//! [`ServingPool::submit`] keeps its classic blocking contract by waiting
-//! for capacity (backpressure; counted in
+//! [`ServingPool::submit`] keeps its blocking contract by waiting for
+//! capacity (backpressure; counted in
 //! [`AdmissionPoolStats::backpressure_waits`]), and
 //! [`ServingPool::submit_with_timeout`] bounds that wait. A full queue
 //! sheds by [`ShedPolicy`]: reject the newcomer, or evict the newest
 //! strictly-lower-priority queued request to make room. Requests may carry
 //! a [`ServingRequest::deadline`]; one still queued when it passes is shed
-//! at dequeue — never executed — and resolves its ticket to
+//! at dequeue and resolves its ticket to
 //! [`ServingError::DeadlineExceeded`]. Queue-wait and end-to-end latency
 //! distributions are recorded per priority class in fixed log-scale
 //! histograms ([`PoolStats::latency`], `p50/p99/p999`), and the shed /
 //! expired / backpressure counters ([`PoolStats::admission`]) balance
 //! exactly: every admitted request resolves as served, shed, expired or
-//! failed. A pool built *without* admission control behaves exactly like
-//! the unbounded pool of the previous revision — every admission counter
-//! stays zero and `submit` never sheds (a submit racing
+//! failed. Without admission control the queues are unbounded, `submit`
+//! never sheds, and every admission counter stays zero (a submit racing
 //! [`ServingPool::begin_shutdown`] or a retire resolves its ticket to the
 //! typed [`ServingError::PoolClosed`] rather than panicking).
 //!
-//! # Routing offload & same-fingerprint micro-batching
+//! # Routing offload
 //!
 //! A pool built with [`PoolConfig::with_routing`] moves the routing work off
-//! the submitter thread and amortizes plan activation across bursts:
+//! the submitter thread: `submit`/`try_submit` enqueue into a small bounded
+//! *routing stage* serviced by one dedicated routing worker, which computes
+//! the request's sparsity fingerprint, resolves device affinity through the
+//! shared router engine and forwards the job to its home shard — the same
+//! placement step the inline path runs. The submit path is therefore O(1)
+//! even for a cold matrix. Admission travels with the request: the
+//! in-flight cap is still reserved at submit, priority lanes and deadlines
+//! apply unchanged at the shard, and a full stage sheds with
+//! [`ShedReason::RoutingStageFull`] (non-blocking) or backpressures the
+//! submitter (blocking). The same config sets the run bound
+//! [`RoutingConfig::max_batch`]; without it every run has length one.
 //!
-//! * **Routing offload** — `submit`/`try_submit` enqueue into a small
-//!   bounded *routing stage* serviced by one dedicated routing worker. The
-//!   worker computes the request's sparsity fingerprint, resolves device
-//!   affinity through the shared router engine and forwards the job to its
-//!   home shard, so the submit path is O(1) even for a cold matrix: no
-//!   profile pass, cost sweep or cache walk runs on the submitting thread.
-//!   Admission travels with the request — the in-flight cap is still
-//!   reserved at submit, priority lanes and deadlines apply unchanged at
-//!   the shard, and a full stage sheds with
-//!   [`ShedReason::RoutingStageFull`] (non-blocking) or backpressures the
-//!   submitter (blocking). Per-submit latency is recorded in
-//!   [`RoutingPoolStats::submit`].
-//! * **Micro-batching** — at dequeue, a shard worker coalesces a bounded
-//!   run (at most [`RoutingConfig::max_batch`]) of *adjacent* queued
-//!   requests from the same priority lane that share a sparsity
-//!   fingerprint, workload kind, iteration count, policy and matrix
-//!   content into one *plan activation*: one selection resolve, one
-//!   `Arc<PreparedPlan>` pin and one workspace, reused across the whole
-//!   run ([`SeerEngine::activate_plan`]). A burst of K identical operators
-//!   costs one cache walk instead of K; selection overhead is billed to
-//!   the run's first executed request exactly as a sequential replay would
-//!   bill its first cache miss, so responses stay **bit-identical** to
-//!   sequential serving. Expired batchmates are still shed at dequeue
-//!   (never executed) and an eviction can remove a queued batchmate
-//!   without disturbing the rest — batches only form at dequeue, so
-//!   nothing queued is ever committed to one.
-//!
-//! The counters ([`PoolStats::routing`]) prove both layers:
-//! `routed_async` counts stage-forwarded requests, `batched_requests` /
-//! `batch_activations` give the mean batch size, and the front-door balance
+//! The counters ([`PoolStats::routing`]) prove both: `routed_async` counts
+//! stage-forwarded requests, `batched_requests` / `batch_activations` count
+//! the runs of two or more, and the front-door balance
 //! (`served + shed + expired + failed == offered`) stays exact — in-stage
 //! requests caught by a shutdown resolve typed
 //! ([`ServingError::PoolClosed`], counted in
-//! [`RoutingPoolStats::stage_closed`]). A pool built *without*
-//! [`RoutingConfig`] is bit-identical to the previous revision and keeps
-//! every routing counter zero.
+//! [`RoutingPoolStats::stage_closed`]). Without [`RoutingConfig`] every
+//! routing counter stays zero.
 //!
 //! # Example
 //!
@@ -172,11 +170,11 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use seer_gpu::{DeviceId, Fleet, Gpu, GpuSpec, MembershipError, SimTime, SpecError};
+use seer_gpu::{DeviceFailed, DeviceId, Fleet, Gpu, GpuSpec, MembershipError, SimTime, SpecError};
 use seer_sparse::{CsrMatrix, Scalar};
 
 use crate::engine::{
@@ -212,10 +210,10 @@ pub struct PoolConfig {
     /// never shed and every admission counter stays zero.
     pub admission: Option<AdmissionConfig>,
     /// Routing offload and same-fingerprint micro-batching (see the
-    /// [module docs](self#routing-offload--same-fingerprint-micro-batching)).
+    /// [module docs](self#routing-offload)).
     /// `None` (the default) keeps routing on the submitter thread and
-    /// serves strictly one request per dequeue — bit-identical to the
-    /// pre-routing pool, with every [`RoutingPoolStats`] counter zero.
+    /// serves every request as a run of one, with every
+    /// [`RoutingPoolStats`] counter zero.
     pub routing: Option<RoutingConfig>,
 }
 
@@ -373,7 +371,7 @@ impl Default for AdmissionConfig {
 
 /// Routing offload + same-fingerprint micro-batching of a [`ServingPool`].
 /// Installed with [`PoolConfig::with_routing`]; see the
-/// [module docs](self#routing-offload--same-fingerprint-micro-batching).
+/// [module docs](self#routing-offload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoutingConfig {
     /// Maximum requests queued in the routing stage (submitted, not yet
@@ -510,16 +508,15 @@ pub enum Workload {
         /// The dense input vector; must satisfy `x.len() == matrix.cols()`.
         x: Arc<Vec<Scalar>>,
     },
-    /// Chaos workload: panics inside the serving worker. Exists so the
+    /// Test-only chaos workload: panics inside the serving worker, so the
     /// worker-death recovery path ([`ServingError::WorkerDied`]) can be
-    /// exercised deterministically; never useful in production traffic.
-    #[doc(hidden)]
+    /// exercised deterministically.
+    #[cfg(test)]
     PanicInjection,
-    /// Chaos workload: blocks the serving worker until the shared gate is
-    /// set to `true`, then serves like [`Workload::SelectOnly`]. Exists so
-    /// tests can deterministically sequence a membership change against a
-    /// queued backlog; never useful in production traffic.
-    #[doc(hidden)]
+    /// Test-only chaos workload: blocks the serving worker until the shared
+    /// gate is set to `true`, then serves like [`Workload::SelectOnly`], so
+    /// tests can deterministically stage queue contents behind it.
+    #[cfg(test)]
     Gate {
         /// Open the gate by setting the flag and notifying the Condvar.
         gate: Arc<(Mutex<bool>, Condvar)>,
@@ -1463,9 +1460,7 @@ struct Job {
 /// One shard's queue: three priority lanes behind one mutex, a bound
 /// enforced by the submit side, and two condvars — `available` wakes the
 /// worker on push/close, `space` wakes backpressured submitters on
-/// pop/evict/close. Replaces the old unbounded `mpsc` channel; an
-/// admission-free pool simply never hits the bound, so its behaviour is
-/// unchanged.
+/// pop/evict/close. An admission-free pool never hits the bound.
 struct ShardQueue {
     state: Mutex<QueueState>,
     available: Condvar,
@@ -1519,8 +1514,7 @@ impl ShardQueue {
     /// batch-compatible with it ([`batchable`]: same sparsity fingerprint,
     /// workload kind, iterations, policy and matrix content). Returns
     /// `false` once the queue is closed *and* empty (close-then-drain
-    /// semantics). With `max_batch <= 1` this is exactly the classic
-    /// single-job pop.
+    /// semantics). With `max_batch <= 1` every run has length one.
     ///
     /// Batches form only here, at dequeue: nothing queued is ever committed
     /// to a run, so an eviction or a deadline expiry of a queued
@@ -1816,7 +1810,7 @@ struct ShardCounters {
     /// Requests served successfully; with `failed`, `expired` and `shed`
     /// this partitions `completed`.
     served: AtomicU64,
-    /// Requests dropped by a panic inside `serve`; a subset of `completed`.
+    /// Requests dropped by a worker panic; a subset of `completed`.
     failed: AtomicU64,
     /// Deadline-expired requests shed at dequeue; a subset of `completed`.
     expired: AtomicU64,
@@ -2213,15 +2207,13 @@ impl ServingPool {
     /// Resolving affinity on a fleet pool consults (and warms) the shared
     /// router engine, exactly as submitting the request would.
     pub fn shard_for_request(&self, request: &ServingRequest) -> usize {
-        let selection = self.router_handle().map(|router| {
-            router.select_with_policy(&request.matrix, request.iterations, request.policy)
-        });
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        route_in(
-            &inner,
+        route(
+            &self.inner,
+            &self.router,
+            request,
             request.matrix.sparsity_fingerprint(),
-            selection.as_ref(),
         )
+        .1
     }
 
     /// Enqueues one request on its home shard and returns a [`Ticket`] for
@@ -2300,7 +2292,6 @@ impl ServingPool {
             return self.refuse(ShedReason::PoolClosed);
         }
         let capacity = self.front_door.queue_capacity();
-        let policy = self.front_door.shed_policy();
         // Tracks whether this admission already counted one backpressure
         // wait — a submit that waits on both the cap and a queue still
         // counts once.
@@ -2370,60 +2361,35 @@ impl ServingPool {
             }
         }
 
-        // Inline routing: the classic path. The routing key is computed
-        // once here and carried with the job through every later hop.
+        // Inline routing: the routing key is computed once here and carried
+        // with the job through every later hop.
         job.fingerprint = job.request.matrix.sparsity_fingerprint();
         loop {
             if self.closing.load(Ordering::SeqCst) {
                 return self.abandon(job, ShedReason::PoolClosed);
             }
-            // Device affinity first, with no pool locks held.
-            let selection = self.router_handle().map(|router| {
-                router.select_with_policy(
-                    &job.request.matrix,
-                    job.request.iterations,
-                    job.request.policy,
-                )
-            });
-            let (attempt, shard_index, queue, counters) = {
-                let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-                let shard_index = route_in(&inner, job.fingerprint, selection.as_ref());
-                let shard = &inner.shards[shard_index];
-                (
-                    push_job(shard, shard_index, job, capacity, policy),
-                    shard_index,
-                    Arc::clone(&shard.queue),
-                    Arc::clone(&shard.counters),
-                )
-            };
-            match attempt {
-                PushAttempt::Queued => {
+            match place(
+                &self.inner,
+                &self.router,
+                &self.front_door,
+                &self.progress,
+                job,
+            ) {
+                Placement::Queued { shard } => {
                     return SubmitOutcome::Accepted(Ticket {
                         cell,
-                        shard: shard_index,
+                        shard,
                         received: None,
                     });
                 }
-                PushAttempt::QueuedEvicting(victim) => {
-                    // Outside every pool lock: resolving the victim's
-                    // ticket wakes its waiter directly.
-                    resolve_evicted(
-                        shard_index,
-                        &counters,
-                        victim,
-                        &self.front_door,
-                        &self.progress,
-                    );
-                    return SubmitOutcome::Accepted(Ticket {
-                        cell,
-                        shard: shard_index,
-                        received: None,
-                    });
-                }
-                PushAttempt::Full(returned) => {
+                Placement::Full {
+                    job: returned,
+                    shard,
+                    queue,
+                } => {
                     job = returned;
                     if !block {
-                        return self.abandon(job, ShedReason::QueueFull { shard: shard_index });
+                        return self.abandon(job, ShedReason::QueueFull { shard });
                     }
                     self.note_backpressure(&mut waited);
                     if !wait_for_space(&queue, capacity, wait_deadline) {
@@ -2431,13 +2397,10 @@ impl ServingPool {
                     }
                     // Space freed (or the queue closed): re-route and retry.
                 }
-                PushAttempt::Closed(returned) => {
-                    // A closed queue under the read lock means membership
-                    // moved on (or shutdown started) — the next routing
-                    // pass lands on survivors or exits through the closing
-                    // check above.
-                    job = returned;
-                }
+                // A closed queue under the read lock means membership moved
+                // on (or shutdown started) — the next routing pass lands on
+                // survivors or exits through the closing check above.
+                Placement::Closed(returned) => job = returned,
             }
         }
     }
@@ -2770,26 +2733,93 @@ fn join_worker(worker: JoinHandle<()>) {
     }
 }
 
-/// The routing function, applied under one read of the pool's `inner` lock.
-/// Takes the request's already-computed routing key (the matrix's sparsity
-/// fingerprint) so no hop ever re-derives it.
+/// What one placement pass did with a job. `Full` and `Closed` hand the job
+/// back so each caller applies its own policy: a submitter sheds or waits
+/// under its deadline; the routing worker waits without one, or resolves
+/// the job typed once shutdown has begun.
+enum Placement {
+    Queued {
+        shard: usize,
+    },
+    Full {
+        job: Job,
+        shard: usize,
+        queue: Arc<ShardQueue>,
+    },
+    Closed(Job),
+}
+
+/// The routing half of a placement, shared by [`place`] and
+/// [`ServingPool::shard_for_request`]. Device affinity is resolved through
+/// the router engine with no pool lock held (the router guard is released
+/// before selecting); the home shard is then picked under the returned
+/// `inner` read guard, so a caller that pushes under that same guard can
+/// never land in a group unpublished in between.
 ///
 /// With a device placement: the fingerprint-local shard of the placed
 /// device's group; if that group is gone (retired between selection and
-/// routing), the first surviving group. Without a placement (single-device
-/// pool): bare `fingerprint % shards`.
-fn route_in(inner: &PoolInner, fingerprint: u64, selection: Option<&Selection>) -> usize {
-    if let Some(selection) = selection {
-        let placed = inner
+/// routing), the first surviving group. Without one (single-device pool):
+/// bare `fingerprint % shards`. The fingerprint is the request's
+/// already-computed routing key, so no hop ever re-derives it.
+fn route<'a>(
+    inner: &'a RwLock<PoolInner>,
+    router: &RwLock<Option<Arc<SeerEngine>>>,
+    request: &ServingRequest,
+    fingerprint: u64,
+) -> (RwLockReadGuard<'a, PoolInner>, usize) {
+    let router = router
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    let selection = router.map(|router| {
+        router.select_with_policy(&request.matrix, request.iterations, request.policy)
+    });
+    let inner = inner.read().unwrap_or_else(PoisonError::into_inner);
+    let group = selection.and_then(|selection| {
+        inner
             .device_groups
             .get(selection.device.index())
             .filter(|group| !group.is_empty())
-            .or_else(|| inner.device_groups.iter().find(|group| !group.is_empty()));
-        if let Some(group) = placed {
-            return group[(fingerprint % group.len() as u64) as usize];
+            .or_else(|| inner.device_groups.iter().find(|group| !group.is_empty()))
+    });
+    let shard = match group {
+        Some(group) => group[(fingerprint % group.len() as u64) as usize],
+        None => (fingerprint % inner.shards.len().max(1) as u64) as usize,
+    };
+    (inner, shard)
+}
+
+/// One placement pass, shared by the inline admission loop and the routing
+/// worker: [`route`], push onto the home shard's queue under the same
+/// `inner` read guard, and — once every pool lock is released — resolve a
+/// victim the push evicted, so its waiter wakes directly.
+fn place(
+    inner: &RwLock<PoolInner>,
+    router: &RwLock<Option<Arc<SeerEngine>>>,
+    front_door: &FrontDoor,
+    progress: &Progress,
+    job: Job,
+) -> Placement {
+    let (attempt, shard, queue, counters) = {
+        let (inner, shard) = route(inner, router, &job.request, job.fingerprint);
+        let home = &inner.shards[shard];
+        let capacity = front_door.queue_capacity();
+        (
+            push_job(home, shard, job, capacity, front_door.shed_policy()),
+            shard,
+            Arc::clone(&home.queue),
+            Arc::clone(&home.counters),
+        )
+    };
+    match attempt {
+        PushAttempt::Queued => Placement::Queued { shard },
+        PushAttempt::QueuedEvicting(victim) => {
+            resolve_evicted(shard, &counters, victim, front_door, progress);
+            Placement::Queued { shard }
         }
+        PushAttempt::Full(job) => Placement::Full { job, shard, queue },
+        PushAttempt::Closed(job) => Placement::Closed(job),
     }
-    (fingerprint % inner.shards.len().max(1) as u64) as usize
 }
 
 /// One push attempt against a shard's queue, under the caller's `inner`
@@ -2921,57 +2951,28 @@ fn routing_worker_loop(ctx: &RoutingCtx) {
 /// critical section that closed its queues) or a shutdown (resolve the
 /// ticket typed, counted in [`RoutingPoolStats::stage_closed`]).
 fn forward(ctx: &RoutingCtx, mut job: Job) {
-    let capacity = ctx.front_door.queue_capacity();
-    let policy = ctx.front_door.shed_policy();
     loop {
-        // Device affinity first, with no pool locks held (the router guard
-        // is released before selecting, like `ServingPool::router_handle`).
-        let router = ctx
-            .router
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let selection = router.map(|router| {
-            router.select_with_policy(
-                &job.request.matrix,
-                job.request.iterations,
-                job.request.policy,
-            )
-        });
-        let (attempt, shard_index, queue, counters) = {
-            let inner = ctx.inner.read().unwrap_or_else(PoisonError::into_inner);
-            let shard_index = route_in(&inner, job.fingerprint, selection.as_ref());
-            let shard = &inner.shards[shard_index];
-            (
-                push_job(shard, shard_index, job, capacity, policy),
-                shard_index,
-                Arc::clone(&shard.queue),
-                Arc::clone(&shard.counters),
-            )
-        };
-        match attempt {
-            PushAttempt::Queued => {
-                forwarded(ctx);
+        match place(&ctx.inner, &ctx.router, &ctx.front_door, &ctx.progress, job) {
+            Placement::Queued { .. } => {
+                // `push_job` already incremented the shard's `submitted`, so
+                // decrementing the stage gauge *after* it keeps the pool's
+                // pending count from transiently dropping to zero while the
+                // job changes hands.
+                ctx.routing.routed_async.fetch_add(1, Ordering::SeqCst);
+                ctx.stage.in_stage.fetch_sub(1, Ordering::SeqCst);
                 return;
             }
-            PushAttempt::QueuedEvicting(victim) => {
-                resolve_evicted(
-                    shard_index,
-                    &counters,
-                    victim,
-                    &ctx.front_door,
-                    &ctx.progress,
-                );
-                forwarded(ctx);
-                return;
-            }
-            PushAttempt::Full(returned) => {
+            Placement::Full {
+                job: returned,
+                queue,
+                ..
+            } => {
                 job = returned;
                 // Block until the shard frees a slot or its queue closes;
                 // either way the loop re-routes and retries.
-                wait_for_space(&queue, capacity, None);
+                wait_for_space(&queue, ctx.front_door.queue_capacity(), None);
             }
-            PushAttempt::Closed(returned) => {
+            Placement::Closed(returned) => {
                 job = returned;
                 if ctx.closing.load(Ordering::SeqCst) {
                     // Shutdown: resolve typed so no in-stage ticket can
@@ -2992,15 +2993,6 @@ fn forward(ctx: &RoutingCtx, mut job: Job) {
     }
 }
 
-/// The accounting tail of one successful stage forward. Ordering matters:
-/// the shard's `submitted` was already incremented inside `push_job`, so
-/// decrementing the stage gauge *after* it keeps the pool's pending count
-/// from transiently dropping to zero while the job changes hands.
-fn forwarded(ctx: &RoutingCtx) {
-    ctx.routing.routed_async.fetch_add(1, Ordering::SeqCst);
-    ctx.stage.in_stage.fetch_sub(1, Ordering::SeqCst);
-}
-
 /// Everything one shard worker thread needs, bundled at spawn time.
 struct WorkerContext {
     shard: usize,
@@ -3014,31 +3006,13 @@ struct WorkerContext {
     routing: Arc<RoutingShared>,
 }
 
-/// One shard's serve loop: drain the queue until every sender is gone.
+/// One shard's serve loop: every dequeue — a single job, or a coalesced run
+/// of up to [`RoutingConfig::max_batch`] batch-compatible jobs — is served
+/// by [`serve_run`]. Only runs of two or more count as batches.
 ///
 /// The worker owns one [`EngineWorkspace`] for its whole lifetime, so the
 /// execute hot path reuses the same output and scratch buffers across every
 /// request the shard ever serves.
-///
-/// With micro-batching enabled ([`RoutingConfig::max_batch`] > 1) each
-/// dequeue may return a *run* of batch-compatible jobs; a run of two or
-/// more is served through one plan activation ([`serve_run`]). A
-/// single-job dequeue takes exactly the classic path.
-///
-/// A panic inside [`serve`] is unwind-isolated per request: the worker
-/// records the failure, still counts the request completed (so drain and
-/// shutdown never hang on a poisoned request), and resolves the ticket to
-/// [`ServingError::WorkerDied`] — only that request observes the death,
-/// while the worker itself lives on to serve the rest of its queue.
-///
-/// A [`seer_gpu::DeviceFailed`] from the engine — the placement device died
-/// mid-execution — is retried exactly once: the failed device is non-live by
-/// then, so the retry's fresh selection lands on a surviving device. Both
-/// attempts are counted in [`ShardStats::device_failures`]; a request whose
-/// retry also dies resolves to [`ServingError::DeviceFailed`]. A request
-/// served successfully while this worker's pinned `device` is no longer
-/// live (drained backlog after a retire, or a retried placement) counts as
-/// [`ShardStats::migrated`].
 fn worker_loop(ctx: &WorkerContext) {
     let mut workspace = EngineWorkspace::new();
     let mut run: Vec<Job> = Vec::new();
@@ -3048,30 +3022,8 @@ fn worker_loop(ctx: &WorkerContext) {
             ctx.routing
                 .batched_requests
                 .fetch_add(run.len() as u64, Ordering::SeqCst);
-            serve_run(ctx, &mut run, &mut workspace);
-            continue;
         }
-        let Some(job) = run.pop() else {
-            continue;
-        };
-        let Job {
-            request,
-            responder,
-            admitted,
-            ..
-        } = job;
-        let lane = request.priority.lane();
-        ctx.latency.queue_wait[lane].record(admitted.elapsed());
-        // Deadline shed at dequeue: expired work is never executed, so an
-        // overloaded pool stops wasting capacity on answers nobody is
-        // still waiting for.
-        if deadline_expired(&request) {
-            responder.resolve(Err(ServingError::DeadlineExceeded { shard: ctx.shard }));
-            ctx.counters.expired.fetch_add(1, Ordering::SeqCst);
-            finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-            continue;
-        }
-        serve_job(ctx, &request, responder, admitted, lane, &mut workspace);
+        serve_run(ctx, &mut run, &mut workspace);
     }
 }
 
@@ -3083,172 +3035,35 @@ fn deadline_expired(request: &ServingRequest) -> bool {
         .is_some_and(|deadline| Instant::now() >= deadline)
 }
 
-/// Serves one dequeued, not-expired job through the full per-request path:
-/// one unwind-isolated attempt, one bounded dead-device retry, resolution
-/// and completion accounting. Exactly the pre-batching worker body.
-fn serve_job(
-    ctx: &WorkerContext,
-    request: &ServingRequest,
-    responder: Responder,
-    admitted: Instant,
-    lane: usize,
-    workspace: &mut EngineWorkspace,
-) {
-    let resolution = match attempt(ctx.shard, &ctx.engine, request, workspace) {
-        Attempt::Served(response) => Ok(response),
-        Attempt::Panicked => {
-            ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
-            Err(ServingError::WorkerDied { shard: ctx.shard })
-        }
-        Attempt::DeviceDied(_) => {
-            ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
-            ctx.counters.retried.fetch_add(1, Ordering::SeqCst);
-            // The dead device is no longer live, so the retry's fresh
-            // selection places the work on a surviving device. One
-            // retry, not a loop: a second dead device means the fleet
-            // is flapping faster than selections, and the caller
-            // should see that.
-            match attempt(ctx.shard, &ctx.engine, request, workspace) {
-                Attempt::Served(response) => Ok(response),
-                Attempt::Panicked => {
-                    ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
-                    Err(ServingError::WorkerDied { shard: ctx.shard })
-                }
-                Attempt::DeviceDied(death) => {
-                    ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
-                    Err(ServingError::DeviceFailed {
-                        device: death.device,
-                    })
-                }
-            }
-        }
-    };
-    let migrated = resolution.is_ok() && !ctx.engine.fleet().is_live(ctx.device);
-    let served = resolution.is_ok();
-    // Resolve the ticket before counting the request completed: a
-    // drain woken by this completion must find the outcome in place.
-    responder.resolve(resolution);
-    if served {
-        ctx.counters.served.fetch_add(1, Ordering::SeqCst);
-        ctx.latency.end_to_end[lane].record(admitted.elapsed());
-    }
-    if migrated {
-        ctx.counters.migrated.fetch_add(1, Ordering::SeqCst);
-    }
-    finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-}
-
-/// The one shared resolution of a coalesced run: a select-only run reuses
-/// one selection, an execute run replays one pinned plan activation.
+/// A run's shared resolution: a select-only run reuses one selection, an
+/// execute run replays one pinned plan activation. `billed` records whether
+/// the activation's charged selection overhead has gone to an executed
+/// request yet — it goes to exactly one, the same bill a sequential replay
+/// puts on its first cache miss.
 enum RunPlan {
     Select(Selection),
-    Execute(PlanActivation),
+    Execute {
+        activation: PlanActivation,
+        billed: bool,
+    },
 }
 
-/// Resolves the shared plan for a run's first non-expired job: one
-/// selection resolve (and, for execute runs, one plan-cache walk + pin)
-/// for the whole run. `None` on a panic or a dead placement device — the
-/// caller then serves every remaining job through the full per-request
-/// path, which owns the retry semantics.
-fn activate_run(ctx: &WorkerContext, request: &ServingRequest) -> Option<RunPlan> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match &request.workload {
-        Workload::SelectOnly => Ok(RunPlan::Select(ctx.engine.select_with_policy(
-            &request.matrix,
-            request.iterations,
-            request.policy,
-        ))),
-        Workload::Execute { .. } => ctx
-            .engine
-            .activate_plan(&request.matrix, request.iterations, request.policy)
-            .map(RunPlan::Execute),
-        Workload::PanicInjection | Workload::Gate { .. } => {
-            unreachable!("chaos workloads are never coalesced into runs")
-        }
-    }));
-    match outcome {
-        Ok(Ok(plan)) => Some(plan),
-        Ok(Err(_)) | Err(_) => None,
-    }
+/// Why one serve attempt produced no response.
+enum Failure {
+    Device(DeviceFailed),
+    Panicked,
 }
 
-/// One unwind-isolated execution of a run job against the shared
-/// activation. `first` bills the activation's charged selection overhead
-/// to exactly one executed request — the same bill a sequential replay
-/// puts on its first cache miss.
-fn activated_attempt(
-    ctx: &WorkerContext,
-    activation: &PlanActivation,
-    request: &ServingRequest,
-    first: bool,
-    workspace: &mut EngineWorkspace,
-) -> Attempt {
-    let Workload::Execute { x } = &request.workload else {
-        unreachable!("execute runs only contain execute workloads")
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        ctx.engine.try_execute_activated_into(
-            activation,
-            &request.matrix,
-            x,
-            request.iterations,
-            first,
-            workspace,
-        )
-    }));
-    match outcome {
-        Ok(Ok((selection, total_time))) => Attempt::Served(ServingResponse {
-            selection,
-            result: Some(workspace.result().to_vec()),
-            total_time: Some(total_time),
-            shard: ctx.shard,
-        }),
-        Ok(Err(death)) => Attempt::DeviceDied(death),
-        Err(_) => Attempt::Panicked,
-    }
-}
-
-/// Resolves one run job as served and settles its accounting.
-fn resolve_served(
-    ctx: &WorkerContext,
-    lane: usize,
-    admitted: Instant,
-    responder: Responder,
-    response: ServingResponse,
-) {
-    let migrated = !ctx.engine.fleet().is_live(ctx.device);
-    responder.resolve(Ok(response));
-    ctx.counters.served.fetch_add(1, Ordering::SeqCst);
-    ctx.latency.end_to_end[lane].record(admitted.elapsed());
-    if migrated {
-        ctx.counters.migrated.fetch_add(1, Ordering::SeqCst);
-    }
-    finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-}
-
-/// Serves a coalesced run of two or more batch-compatible jobs through one
-/// plan activation.
-///
-/// Invariants, in order of application per job:
-///
-/// * queue-wait is recorded and the deadline checked for *every* job —
-///   an expired batchmate is still shed at dequeue (counted
-///   [`ShardStats::expired`]), never executed, exactly like the single-job
-///   path;
-/// * the shared [`RunPlan`] is resolved lazily on the first non-expired
-///   job, so selection overhead is billed to the same request a sequential
-///   replay would bill (if the first job expired, the next executed one
-///   carries the miss);
-/// * an activation failure or a mid-run dead device drops the rest of the
-///   run back onto the full per-request path ([`serve_job`]), which owns
-///   the bounded retry — a batch never weakens the failure semantics.
+/// Serves one dequeued run — a single request is a run of one — through
+/// the steps of the [module docs](self#the-serve-path): per job, the
+/// deadline check at dequeue (counted [`ShardStats::expired`]), lazy
+/// activation of the run's shared [`RunPlan`] by its first live job, and
+/// execution with the bounded dead-device retry ([`retry_once`]). A job
+/// served while this worker's pinned device is no longer live (drained
+/// backlog after a retire, or a retried placement) counts as
+/// [`ShardStats::migrated`].
 fn serve_run(ctx: &WorkerContext, run: &mut Vec<Job>, workspace: &mut EngineWorkspace) {
     let mut plan: Option<RunPlan> = None;
-    // Once true, every remaining job goes through the full per-request
-    // path (activation failed, or the shared device died mid-run).
-    let mut fallback = false;
-    // Whether the next activated execution is the run's first — the one
-    // billed the activation's charged selection overhead.
-    let mut first = true;
     for job in run.drain(..) {
         let Job {
             request,
@@ -3264,73 +3079,138 @@ fn serve_run(ctx: &WorkerContext, run: &mut Vec<Job>, workspace: &mut EngineWork
             finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
             continue;
         }
-        if !fallback && plan.is_none() {
-            plan = activate_run(ctx, &request);
-            fallback = plan.is_none();
+        let resolution = retry_once(ctx, &request, &mut plan, workspace);
+        let served = resolution.is_ok();
+        let migrated = served && !ctx.engine.fleet().is_live(ctx.device);
+        // Resolve the ticket before counting the request completed: a
+        // drain woken by this completion must find the outcome in place.
+        responder.resolve(resolution);
+        if served {
+            ctx.counters.served.fetch_add(1, Ordering::SeqCst);
+            ctx.latency.end_to_end[lane].record(admitted.elapsed());
         }
-        let shared = if fallback { None } else { plan.as_ref() };
-        let Some(shared) = shared else {
-            serve_job(ctx, &request, responder, admitted, lane, workspace);
-            continue;
-        };
-        match shared {
-            RunPlan::Select(selection) => {
-                resolve_served(
-                    ctx,
-                    lane,
-                    admitted,
-                    responder,
-                    ServingResponse {
-                        selection: *selection,
-                        result: None,
-                        total_time: None,
-                        shard: ctx.shard,
-                    },
-                );
+        if migrated {
+            ctx.counters.migrated.fetch_add(1, Ordering::SeqCst);
+        }
+        finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
+    }
+}
+
+/// Serves one job with the bounded dead-device retry. Both attempts count
+/// in [`ShardStats::device_failures`]. The failed device is non-live by the
+/// retry, so its fresh activation places the work on a surviving device;
+/// later jobs of the run reuse that activation. One retry, not a loop: a
+/// second dead device means the fleet is flapping faster than selections,
+/// and the caller should see that as [`ServingError::DeviceFailed`].
+fn retry_once(
+    ctx: &WorkerContext,
+    request: &ServingRequest,
+    plan: &mut Option<RunPlan>,
+    workspace: &mut EngineWorkspace,
+) -> Result<ServingResponse, ServingError> {
+    let mut retrying = false;
+    loop {
+        match try_serve(ctx, request, plan, workspace) {
+            Ok(response) => return Ok(response),
+            Err(Failure::Panicked) => {
+                ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
+                return Err(ServingError::WorkerDied { shard: ctx.shard });
             }
-            RunPlan::Execute(activation) => {
-                match activated_attempt(ctx, activation, &request, first, workspace) {
-                    Attempt::Served(response) => {
-                        first = false;
-                        resolve_served(ctx, lane, admitted, responder, response);
-                    }
-                    Attempt::Panicked => {
-                        first = false;
-                        ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
-                        responder.resolve(Err(ServingError::WorkerDied { shard: ctx.shard }));
-                        finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-                    }
-                    Attempt::DeviceDied(_) => {
-                        // The pinned placement is dead: give this job the
-                        // standard bounded retry and drop the rest of the
-                        // run back onto the full path.
-                        first = false;
-                        fallback = true;
-                        ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
-                        ctx.counters.retried.fetch_add(1, Ordering::SeqCst);
-                        match attempt(ctx.shard, &ctx.engine, &request, workspace) {
-                            Attempt::Served(response) => {
-                                resolve_served(ctx, lane, admitted, responder, response);
-                            }
-                            Attempt::Panicked => {
-                                ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
-                                responder
-                                    .resolve(Err(ServingError::WorkerDied { shard: ctx.shard }));
-                                finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-                            }
-                            Attempt::DeviceDied(death) => {
-                                ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
-                                responder.resolve(Err(ServingError::DeviceFailed {
-                                    device: death.device,
-                                }));
-                                finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
-                            }
-                        }
-                    }
+            Err(Failure::Device(death)) => {
+                ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
+                *plan = None;
+                if retrying {
+                    return Err(ServingError::DeviceFailed {
+                        device: death.device,
+                    });
                 }
+                ctx.counters.retried.fetch_add(1, Ordering::SeqCst);
+                retrying = true;
             }
         }
     }
+}
+
+/// One unwind-isolated serve attempt: activate the run's plan if it has
+/// none, then answer the request from it. The only allocation left on a
+/// warm execute is the response's owned copy of the product.
+fn try_serve(
+    ctx: &WorkerContext,
+    request: &ServingRequest,
+    plan: &mut Option<RunPlan>,
+    workspace: &mut EngineWorkspace,
+) -> Result<ServingResponse, Failure> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if plan.is_none() {
+            *plan = Some(activate(ctx, request)?);
+        }
+        let (selection, result, total_time) = match plan.as_mut().expect("activated above") {
+            RunPlan::Select(selection) => (*selection, None, None),
+            RunPlan::Execute { activation, billed } => {
+                let Workload::Execute { x } = &request.workload else {
+                    unreachable!("execute runs only contain execute workloads")
+                };
+                let first = !std::mem::replace(billed, true);
+                let (selection, total_time) = ctx.engine.try_execute_activated_into(
+                    activation,
+                    &request.matrix,
+                    x,
+                    request.iterations,
+                    first,
+                    workspace,
+                )?;
+                (
+                    selection,
+                    Some(workspace.result().to_vec()),
+                    Some(total_time),
+                )
+            }
+        };
+        Ok(ServingResponse {
+            selection,
+            result,
+            total_time,
+            shard: ctx.shard,
+        })
+    }));
+    match outcome {
+        Ok(response) => response.map_err(Failure::Device),
+        Err(_) => Err(Failure::Panicked),
+    }
+}
+
+/// Resolves a run's shared plan: one selection resolve for a select-only
+/// run, one selection resolve plus plan pin for an execute run. The
+/// test-only chaos workloads act here: one panics, the other blocks until
+/// its gate opens and then serves like a select.
+fn activate(ctx: &WorkerContext, request: &ServingRequest) -> Result<RunPlan, DeviceFailed> {
+    match &request.workload {
+        Workload::Execute { .. } => {
+            return ctx
+                .engine
+                .activate_plan(&request.matrix, request.iterations, request.policy)
+                .map(|activation| RunPlan::Execute {
+                    activation,
+                    billed: false,
+                });
+        }
+        Workload::SelectOnly => {}
+        #[cfg(test)]
+        Workload::PanicInjection => panic!("injected worker panic"),
+        #[cfg(test)]
+        Workload::Gate { gate } => {
+            let (lock, opened) = &**gate;
+            let mut open = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            while !*open {
+                open = opened.wait(open).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+    Ok(RunPlan::Select(ctx.engine.select_with_policy(
+        &request.matrix,
+        request.iterations,
+        request.policy,
+    )))
 }
 
 /// The completion tail shared by every dequeued job (served, failed or
@@ -3372,87 +3252,6 @@ fn resolve_evicted(
     counters.completed.fetch_add(1, Ordering::SeqCst);
     front_door.in_flight.fetch_sub(1, Ordering::SeqCst);
     notify_progress(progress);
-}
-
-/// One unwind-isolated serve attempt.
-enum Attempt {
-    Served(ServingResponse),
-    DeviceDied(seer_gpu::DeviceFailed),
-    Panicked,
-}
-
-fn attempt(
-    shard: usize,
-    engine: &SeerEngine,
-    request: &ServingRequest,
-    workspace: &mut EngineWorkspace,
-) -> Attempt {
-    match catch_unwind(AssertUnwindSafe(|| {
-        serve(shard, engine, request, workspace)
-    })) {
-        Ok(Ok(response)) => Attempt::Served(response),
-        Ok(Err(death)) => Attempt::DeviceDied(death),
-        Err(_) => Attempt::Panicked,
-    }
-}
-
-/// Serves one request on the shard's engine, reusing the shard's workspace
-/// for execute workloads (the only allocation left on a warm path is the
-/// response's owned copy of the product). Execute workloads run through the
-/// shard engine's prepared-plan fast path, so a warm shard never re-derives
-/// a kernel's preprocessing structures.
-fn serve(
-    shard: usize,
-    engine: &SeerEngine,
-    request: &ServingRequest,
-    workspace: &mut EngineWorkspace,
-) -> Result<ServingResponse, seer_gpu::DeviceFailed> {
-    match &request.workload {
-        Workload::SelectOnly => Ok(ServingResponse {
-            selection: engine.select_with_policy(
-                &request.matrix,
-                request.iterations,
-                request.policy,
-            ),
-            result: None,
-            total_time: None,
-            shard,
-        }),
-        Workload::Execute { x } => {
-            let (selection, total_time) = engine.try_execute_with_policy_into(
-                &request.matrix,
-                x,
-                request.iterations,
-                request.policy,
-                workspace,
-            )?;
-            Ok(ServingResponse {
-                selection,
-                result: Some(workspace.result().to_vec()),
-                total_time: Some(total_time),
-                shard,
-            })
-        }
-        Workload::PanicInjection => panic!("injected worker panic"),
-        Workload::Gate { gate } => {
-            let (lock, opened) = &**gate;
-            let mut open = lock.lock().unwrap_or_else(PoisonError::into_inner);
-            while !*open {
-                open = opened.wait(open).unwrap_or_else(PoisonError::into_inner);
-            }
-            drop(open);
-            Ok(ServingResponse {
-                selection: engine.select_with_policy(
-                    &request.matrix,
-                    request.iterations,
-                    request.policy,
-                ),
-                result: None,
-                total_time: None,
-                shard,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -4207,6 +4006,133 @@ mod tests {
         let (lock, opened) = &**gate;
         *lock.lock().unwrap() = true;
         opened.notify_all();
+    }
+
+    /// The deterministic retire-vs-backlog sequencing test. A gate workload pins
+    /// one worker (and thereby one device lane); a same-fingerprint backlog
+    /// queues behind it; retire of that device is provably in flight (blocked on
+    /// the gated worker) when the gate opens. Every queued request must then
+    /// migrate to a survivor, the migrated plan must be re-prepared exactly once,
+    /// and a concurrent drain must ride out the retire without deadlocking.
+    #[test]
+    fn retire_drains_a_gated_backlog_onto_survivors_exactly_once() {
+        const BACKLOG: usize = 12;
+        let entries = generate(&CollectionConfig::tiny());
+        let (trained, _outcome) =
+            SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap();
+        let corpus: Vec<Arc<CsrMatrix>> =
+            entries.iter().map(|e| Arc::new(e.matrix.clone())).collect();
+        // A three-device slice of the reference lineup: one can retire with
+        // two survivors left to absorb the backlog.
+        let fleet = Fleet::of_specs(Fleet::reference_presets().into_iter().take(3))
+            .expect("presets validate");
+        let pool = Arc::new(ServingPool::with_fleet(
+            fleet.clone(),
+            trained.models_handle(),
+            PoolConfig::with_shards(1),
+        ));
+        let matrix = Arc::clone(&corpus[0]);
+
+        // Block one worker on the gate; the lane it was routed to is the victim.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let gated_ticket = pool.submit(ServingRequest {
+            matrix: Arc::clone(&matrix),
+            iterations: 19,
+            policy: SelectionPolicy::Adaptive,
+            workload: Workload::Gate {
+                gate: Arc::clone(&gate),
+            },
+            priority: Priority::default(),
+            deadline: None,
+        });
+        let victim: DeviceId = pool
+            .stats()
+            .devices()
+            .into_iter()
+            .find(|lane| lane.submitted == 1)
+            .expect("the gate was routed somewhere")
+            .device;
+
+        // Same fingerprint + iterations => same shard: the backlog queues behind
+        // the gated worker on the victim's lane.
+        let backlog_tickets = pool
+            .submit_batch((0..BACKLOG).map(|_| ServingRequest::select(Arc::clone(&matrix), 19)));
+        assert_eq!(
+            pool.stats()
+                .devices()
+                .into_iter()
+                .find(|lane| lane.device == victim)
+                .expect("victim lane exists")
+                .submitted,
+            1 + BACKLOG as u64
+        );
+
+        // Retire the victim on a thread: it must block joining the gated worker,
+        // which is the retire-drain-in-flight state. A concurrent drain (the
+        // shutdown path's first half) must coexist with it.
+        let retiring = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.retire_device(victim))
+        };
+        let draining = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.drain())
+        };
+        std::thread::sleep(Duration::from_millis(60));
+        assert!(
+            !retiring.is_finished(),
+            "retire must block on the gated worker's drain"
+        );
+
+        // Open the gate: the worker serves the gate request plus the queued
+        // backlog (now against a retired device), then exits; retire completes.
+        {
+            let (lock, opened) = &*gate;
+            *lock.lock().unwrap() = true;
+            opened.notify_all();
+        }
+        retiring
+            .join()
+            .expect("retire thread")
+            .expect("victim was live");
+        draining.join().expect("drain thread");
+
+        // Every ticket resolved, and every one was served by a live survivor.
+        let gated_response = gated_ticket.wait().expect("gated request migrates");
+        assert_ne!(gated_response.selection.device, victim);
+        for ticket in backlog_tickets {
+            let response = ticket.wait().expect("backlog request migrates");
+            assert_ne!(response.selection.device, victim);
+            assert!(fleet.is_live(response.selection.device));
+            assert_eq!(response.selection, gated_response.selection);
+        }
+
+        // New work for the same matrix routes to the survivors.
+        let after = pool
+            .submit(ServingRequest::select(Arc::clone(&matrix), 19))
+            .wait()
+            .expect("post-retire request");
+        assert_ne!(after.selection.device, victim);
+
+        let pool = Arc::into_inner(pool).expect("all threads joined");
+        let stats = pool.shutdown();
+        let victim_lane = stats
+            .devices()
+            .into_iter()
+            .find(|lane| lane.device == victim)
+            .expect("victim lane exists");
+        // The whole gated backlog migrated: served by the victim's worker after
+        // the device left the live set.
+        assert_eq!(victim_lane.migrated, 1 + BACKLOG as u64);
+        assert_eq!(victim_lane.completed, 1 + BACKLOG as u64);
+        assert_eq!(victim_lane.failed, 0);
+        // Exactly-once re-preparation: the migrated plan was computed once on
+        // the drained worker's engine and every other backlog request hit it.
+        assert_eq!(victim_lane.engine.plan_misses, 1);
+        assert_eq!(victim_lane.engine.plan_hits, BACKLOG as u64);
+        assert_eq!(stats.completed(), 2 + BACKLOG as u64);
+        assert_eq!(stats.queue_depth(), 0);
+        assert_eq!(stats.failed(), 0);
     }
 
     /// Waits until the pool's workers have dequeued `count` jobs of the
@@ -5024,6 +4950,54 @@ mod tests {
             "alternating request kinds must never coalesce"
         );
         assert_eq!(stats.routing.batched_requests, 0);
+    }
+
+    #[test]
+    fn coalesced_run_on_a_dead_device_counts_like_runs_of_one() {
+        const K: u64 = 6;
+        let (pool, corpus) = routed_pool(RoutingConfig::default().with_max_batch(16), None);
+        let matrix = Arc::clone(&corpus[0]);
+        let x = Arc::new(vec![1.0; matrix.cols()]);
+        let device = DeviceId::DEFAULT;
+        pool.fleet().fail_device(device).unwrap();
+        // Selection executes nothing, so the gate job itself is served.
+        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
+        let pinned = pool.submit(pin_request);
+        wait_for_dequeues(&pool, Priority::Interactive, 1);
+        let tickets: Vec<Ticket> = (0..K)
+            .map(|_| {
+                pool.submit(ServingRequest::execute(
+                    Arc::clone(&matrix),
+                    Arc::clone(&x),
+                    19,
+                ))
+            })
+            .collect();
+        wait_for_forwards(&pool, K + 1);
+        open(&pin);
+        for ticket in tickets {
+            assert_eq!(ticket.wait(), Err(ServingError::DeviceFailed { device }));
+        }
+        assert!(pinned.wait().is_ok());
+        let stats = pool.shutdown();
+        // The K requests coalesced into one run ...
+        assert_eq!(stats.routing.batch_activations, 1);
+        assert_eq!(stats.routing.batched_requests, K);
+        // ... yet each got its own attempt and its own bounded retry,
+        // exactly like K runs of one.
+        assert_eq!(stats.device_failures(), 2 * K);
+        assert_eq!(stats.retried(), K);
+        assert_eq!(stats.failed(), 0, "a dead device is not a worker panic");
+        // Only the gate job was served, and its shard's device was down.
+        assert_eq!(stats.migrations(), 1);
+        // Exact balance: every offered request was admitted and resolved.
+        assert_eq!(stats.offered(), K + 1);
+        assert_eq!(stats.submitted(), K + 1);
+        assert_eq!(stats.completed(), K + 1);
+        assert_eq!(stats.served(), 1);
+        assert_eq!(stats.shed() + stats.expired(), 0);
+        assert_eq!(stats.admission.in_flight, 0);
+        assert_eq!(stats.queue_depth(), 0);
     }
 
     #[test]

@@ -121,12 +121,12 @@ pub(crate) enum PlanData {
 
 /// A cached, immutable execution plan for one `(matrix, kernel)` pair.
 ///
-/// Built by [`SpmvKernel::prepare`](crate::SpmvKernel::prepare); see the
-/// [module docs](self) for the lifecycle. The plan records the *sparsity*
-/// fingerprint of the matrix it was built from — every variant's structure
-/// is derived from the row offsets and column indices alone — plus, for the
-/// one variant that embeds value bits ([`PlanData::EllSlab`]), the values
-/// fingerprint. A value-only mutation therefore leaves every
+/// Built by [`SpmvKernel::prepare`](crate::SpmvKernel::prepare), once per
+/// `(matrix, kernel)` and replayed on every warm execute. The plan records
+/// the *sparsity* fingerprint of the matrix it was built from — every
+/// variant's structure is derived from the row offsets and column indices
+/// alone — plus, for the one variant that embeds value bits (the ELL,TM
+/// slab), the values fingerprint. A value-only mutation therefore leaves every
 /// structure-derived plan valid and invalidates exactly the slab; a
 /// mismatched replay is caught in every build profile (see
 /// [`PreparedPlan::validate_for`] and [`PlanMismatch`]), and
@@ -212,8 +212,8 @@ impl PreparedPlan {
         self.heap_bytes
     }
 
-    /// Whether this plan carries a materialized structure (false for
-    /// [`PlanData::Direct`]).
+    /// Whether this plan carries a materialized structure (false for the
+    /// direct plans of kernels with no preprocessing).
     pub fn is_materialized(&self) -> bool {
         !matches!(self.data, PlanData::Direct)
     }

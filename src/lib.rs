@@ -44,10 +44,6 @@
 //! // A second request on the same matrix is a plan-cache hit.
 //! assert_eq!(engine.select(matrix, 19), selection);
 //! assert_eq!(engine.stats().plan_hits, 1);
-//!
-//! // Batched selection shares the same cache.
-//! let plans = engine.select_batch(&[(matrix, 1), (matrix, 19)]);
-//! assert_eq!(plans[1], selection);
 //! # Ok(())
 //! # }
 //! ```

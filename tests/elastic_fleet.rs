@@ -1,14 +1,16 @@
 //! Integration tests of runtime fleet membership: retire-drain racing live
-//! submitters, exactly-once plan re-preparation after a drained backlog
-//! migrates, deterministic sequencing of a retire against a gated backlog,
-//! and the static-fleet guarantee that a pool which never changes membership
-//! is bit-identical to the classic engine with every elastic counter at zero.
+//! submitters, submit storms racing shutdown, and the static-fleet guarantee
+//! that a pool which never changes membership is bit-identical to the
+//! sequential engine with every elastic counter at zero. (The gated-backlog
+//! retire test needs the test-only gate workload, so it lives with the
+//! serving unit tests.)
 
-use std::sync::{Arc, Condvar, Mutex};
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
-use seer::core::inference::SelectionPolicy;
-use seer::core::serving::Workload;
+use common::wait_bounded;
 use seer::core::training::TrainingConfig;
 use seer::gpu::{Fleet, Gpu};
 use seer::sparse::collection::{generate, CollectionConfig};
@@ -58,7 +60,7 @@ fn static_fleet_stays_bit_identical_with_elastic_counters_zero() {
     );
     let pooled: Vec<_> = tickets
         .into_iter()
-        .map(|t| t.wait().expect("static fleet never fails"))
+        .map(|t| wait_bounded(t).expect("static fleet never fails"))
         .collect();
 
     let replay = SeerEngine::with_fleet(fleet.clone(), trained.models_handle());
@@ -84,126 +86,6 @@ fn static_fleet_stays_bit_identical_with_elastic_counters_zero() {
         generation,
         "serving without membership changes must not bump the fleet generation"
     );
-}
-
-/// The deterministic retire-vs-backlog sequencing test. A gate workload pins
-/// one worker (and thereby one device lane); a same-fingerprint backlog
-/// queues behind it; retire of that device is provably in flight (blocked on
-/// the gated worker) when the gate opens. Every queued request must then
-/// migrate to a survivor, the migrated plan must be re-prepared exactly once,
-/// and a concurrent drain must ride out the retire without deadlocking.
-#[test]
-fn retire_drains_a_gated_backlog_onto_survivors_exactly_once() {
-    const BACKLOG: usize = 12;
-    let (trained, corpus) = trained_corpus();
-    let fleet = three_device_fleet();
-    let pool = Arc::new(ServingPool::with_fleet(
-        fleet.clone(),
-        trained.models_handle(),
-        PoolConfig::with_shards(1),
-    ));
-    let matrix = Arc::clone(&corpus[0]);
-
-    // Block one worker on the gate; the lane it was routed to is the victim.
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let gated_ticket = pool.submit(ServingRequest {
-        matrix: Arc::clone(&matrix),
-        iterations: 19,
-        policy: SelectionPolicy::Adaptive,
-        workload: Workload::Gate {
-            gate: Arc::clone(&gate),
-        },
-        priority: seer::Priority::default(),
-        deadline: None,
-    });
-    let victim: DeviceId = pool
-        .stats()
-        .devices()
-        .into_iter()
-        .find(|lane| lane.submitted == 1)
-        .expect("the gate was routed somewhere")
-        .device;
-
-    // Same fingerprint + iterations => same shard: the backlog queues behind
-    // the gated worker on the victim's lane.
-    let backlog_tickets =
-        pool.submit_batch((0..BACKLOG).map(|_| ServingRequest::select(Arc::clone(&matrix), 19)));
-    assert_eq!(
-        pool.stats()
-            .devices()
-            .into_iter()
-            .find(|lane| lane.device == victim)
-            .expect("victim lane exists")
-            .submitted,
-        1 + BACKLOG as u64
-    );
-
-    // Retire the victim on a thread: it must block joining the gated worker,
-    // which is the retire-drain-in-flight state. A concurrent drain (the
-    // shutdown path's first half) must coexist with it.
-    let retiring = {
-        let pool = Arc::clone(&pool);
-        std::thread::spawn(move || pool.retire_device(victim))
-    };
-    let draining = {
-        let pool = Arc::clone(&pool);
-        std::thread::spawn(move || pool.drain())
-    };
-    std::thread::sleep(Duration::from_millis(60));
-    assert!(
-        !retiring.is_finished(),
-        "retire must block on the gated worker's drain"
-    );
-
-    // Open the gate: the worker serves the gate request plus the queued
-    // backlog (now against a retired device), then exits; retire completes.
-    {
-        let (lock, opened) = &*gate;
-        *lock.lock().unwrap() = true;
-        opened.notify_all();
-    }
-    retiring
-        .join()
-        .expect("retire thread")
-        .expect("victim was live");
-    draining.join().expect("drain thread");
-
-    // Every ticket resolved, and every one was served by a live survivor.
-    let gated_response = gated_ticket.wait().expect("gated request migrates");
-    assert_ne!(gated_response.selection.device, victim);
-    for ticket in backlog_tickets {
-        let response = ticket.wait().expect("backlog request migrates");
-        assert_ne!(response.selection.device, victim);
-        assert!(fleet.is_live(response.selection.device));
-        assert_eq!(response.selection, gated_response.selection);
-    }
-
-    // New work for the same matrix routes to the survivors.
-    let after = pool
-        .submit(ServingRequest::select(Arc::clone(&matrix), 19))
-        .wait()
-        .expect("post-retire request");
-    assert_ne!(after.selection.device, victim);
-
-    let pool = Arc::into_inner(pool).expect("all threads joined");
-    let stats = pool.shutdown();
-    let victim_lane = stats
-        .devices()
-        .into_iter()
-        .find(|lane| lane.device == victim)
-        .expect("victim lane exists");
-    // The whole gated backlog migrated: served by the victim's worker after
-    // the device left the live set.
-    assert_eq!(victim_lane.migrated, 1 + BACKLOG as u64);
-    assert_eq!(victim_lane.completed, 1 + BACKLOG as u64);
-    assert_eq!(victim_lane.failed, 0);
-    // Exactly-once re-preparation: the migrated plan was computed once on
-    // the drained worker's engine and every other backlog request hit it.
-    assert_eq!(victim_lane.engine.plan_misses, 1);
-    assert_eq!(victim_lane.engine.plan_hits, BACKLOG as u64);
-    assert_eq!(stats.completed(), 2 + BACKLOG as u64);
-    assert_eq!(stats.queue_depth(), 0);
-    assert_eq!(stats.failed(), 0);
 }
 
 /// Retire racing a storm of live submitters: no ticket may be lost, none may
@@ -237,7 +119,7 @@ fn submitters_race_a_retire_without_losing_tickets() {
                             Arc::clone(&corpus[request.matrix_index]),
                             request.iterations,
                         ));
-                        ticket.wait().expect("no ticket may be dropped by the race")
+                        wait_bounded(ticket).expect("no ticket may be dropped by the race")
                     })
                     .collect::<Vec<_>>()
             })
@@ -255,9 +137,7 @@ fn submitters_race_a_retire_without_losing_tickets() {
     assert_eq!(responses.len(), stream.len());
     // Post-retire work never lands on the victim; anything the victim served
     // before (or while draining) is legitimate.
-    let post = pool
-        .submit(ServingRequest::select(Arc::clone(&corpus[0]), 19))
-        .wait()
+    let post = wait_bounded(pool.submit(ServingRequest::select(Arc::clone(&corpus[0]), 19)))
         .expect("post-retire request");
     assert!(fleet.is_live(post.selection.device));
 
@@ -313,7 +193,7 @@ fn submit_storm_racing_shutdown_resolves_every_ticket_typed() {
                         Arc::clone(&corpus[request.matrix_index]),
                         request.iterations,
                     ));
-                    match ticket.wait() {
+                    match wait_bounded(ticket) {
                         Ok(_) => served += 1,
                         Err(seer::ServingError::PoolClosed) => refused += 1,
                         Err(other) => panic!("shutdown race leaked an untyped failure: {other}"),
@@ -342,7 +222,7 @@ fn submit_storm_racing_shutdown_resolves_every_ticket_typed() {
             .map(|r| ServingRequest::select(Arc::clone(&corpus[r.matrix_index]), r.iterations)),
     );
     for ticket in batch {
-        assert_eq!(ticket.wait(), Err(seer::ServingError::PoolClosed));
+        assert_eq!(wait_bounded(ticket), Err(seer::ServingError::PoolClosed));
     }
 
     let pool = Arc::into_inner(pool).expect("all submitters joined");

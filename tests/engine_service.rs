@@ -1,13 +1,11 @@
 //! Integration tests of the `SeerEngine` service layer through the facade
-//! crate: plan-cache semantics, batch entry points and cross-thread sharing.
+//! crate: plan-cache semantics and cross-thread sharing.
 
 use std::sync::Arc;
 
 use seer::core::training::TrainingConfig;
 use seer::gpu::Gpu;
-use seer::kernels::KernelId;
 use seer::sparse::collection::{generate, CollectionConfig, SizeScale};
-use seer::sparse::CsrMatrix;
 use seer::SeerEngine;
 
 fn trained_engine() -> (SeerEngine, Vec<seer::sparse::collection::DatasetEntry>) {
@@ -85,19 +83,6 @@ fn regenerated_matrix_misses_only_on_structural_change() {
     let stats = engine.stats();
     assert_eq!(stats.plan_misses, 2);
     assert_eq!(stats.plan_hits, 2);
-}
-
-#[test]
-fn select_batch_agrees_with_sequential_selects() {
-    let (engine, entries) = trained_engine();
-    let requests: Vec<(&CsrMatrix, usize)> =
-        entries.iter().take(4).map(|e| (&e.matrix, 19)).collect();
-    let batch = engine.select_batch(&requests);
-    assert_eq!(batch.len(), requests.len());
-    for (selection, &(matrix, iterations)) in batch.iter().zip(&requests) {
-        assert!(KernelId::ALL.contains(&selection.kernel));
-        assert_eq!(*selection, engine.select(matrix, iterations));
-    }
 }
 
 #[test]

@@ -6,9 +6,12 @@
 //! must pass unchanged, `tests/kernel_differential.rs` is device-agnostic);
 //! these tests cover what only exists once a fleet has more than one device.
 
+mod common;
+
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use common::wait_bounded;
 use seer::core::serving::{PoolConfig, ServingPool, ServingRequest};
 use seer::core::training::TrainingConfig;
 use seer::gpu::{DeviceId, Fleet, Gpu};
@@ -130,7 +133,7 @@ fn fleet_pool_prepares_each_fingerprint_device_kernel_triple_once() {
         .collect();
     let responses: Vec<_> = tickets
         .into_iter()
-        .map(|t| t.wait().expect("healthy worker"))
+        .map(|t| wait_bounded(t).expect("healthy worker"))
         .collect();
 
     // Every (fingerprint, device, kernel) triple the fleet actually served...
@@ -204,7 +207,7 @@ fn per_device_pool_stats_sum_to_the_aggregates() {
         .map(|(i, matrix)| pool.submit(ServingRequest::select(Arc::clone(matrix), 1 + (i % 3) * 9)))
         .collect();
     for ticket in tickets {
-        let _ = ticket.wait().expect("healthy worker");
+        let _ = wait_bounded(ticket).expect("healthy worker");
     }
     pool.drain();
 

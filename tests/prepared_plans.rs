@@ -4,13 +4,16 @@
 //! the streaming baseline, and bounds its resident footprint with the
 //! byte-accounted eviction policy.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::wait_bounded;
 use seer::core::engine::EngineWorkspace;
 use seer::core::serving::{PoolConfig, ServingPool, ServingRequest};
 use seer::core::training::TrainingConfig;
 use seer::gpu::Gpu;
-use seer::kernels::KernelId;
+use seer::kernels::{kernel, ComputeScratch, KernelId};
 use seer::sparse::collection::{generate, CollectionConfig};
 use seer::sparse::{generators, SplitMix64};
 use seer::SeerEngine;
@@ -70,17 +73,14 @@ fn warm_prepared_path_matches_streaming_bit_for_bit() {
         generators::uniform_row_length(400, 9, &mut rng),
     ];
     let mut prepared_ws = EngineWorkspace::new();
-    let mut streaming_ws = EngineWorkspace::new();
+    let mut scratch = ComputeScratch::new();
     for matrix in &matrices {
         let x: Vec<f64> = (0..matrix.cols()).map(|i| (i % 11) as f64 - 5.0).collect();
-        let (prepared_sel, prepared_time) = engine.execute_into(matrix, &x, 19, &mut prepared_ws);
-        let (streaming_sel, streaming_time) =
-            engine.execute_streaming_into(matrix, &x, 19, &mut streaming_ws);
-        assert_eq!(prepared_sel, streaming_sel);
-        // The streaming call replays the plan cached by the prepared call,
-        // so its modelled time drops the already-charged selection overhead.
-        assert!(streaming_time <= prepared_time);
-        for (a, b) in prepared_ws.result().iter().zip(streaming_ws.result()) {
+        let (selection, _) = engine.execute_into(matrix, &x, 19, &mut prepared_ws);
+        let mut streaming = vec![0.0; matrix.rows()];
+        kernel(selection.kernel).compute_into(matrix, &x, &mut streaming, &mut scratch);
+        assert_eq!(prepared_ws.result().len(), streaming.len());
+        for (a, b) in prepared_ws.result().iter().zip(&streaming) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -227,7 +227,7 @@ fn pool_shards_prepare_a_hot_matrix_once_pool_wide() {
         .collect();
     let responses: Vec<_> = tickets
         .into_iter()
-        .map(|t| t.wait().expect("healthy worker"))
+        .map(|t| wait_bounded(t).expect("healthy worker"))
         .collect();
     // Home-shard routing: the hot matrix is prepared exactly once pool-wide,
     // and every response is bit-identical.

@@ -9,8 +9,11 @@
 //! *observes* without touching what the cost models *predict* — exactly the
 //! silent-staleness failure mode recalibration exists to close.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::wait_bounded;
 use seer::core::serving::{PoolConfig, ServingPool, ServingRequest};
 use seer::core::training::TrainingConfig;
 use seer::gpu::{DeviceId, DeviceRegistry, Fleet, Gpu, GpuSpec};
@@ -175,12 +178,11 @@ fn pool_reroutes_traffic_away_from_a_slowed_device() {
     let matrix = Arc::new(bandwidth_bound_matrix());
     let x = Arc::new(vec![1.0; matrix.cols()]);
     let serve = |iterations| {
-        pool.submit(ServingRequest::execute(
+        wait_bounded(pool.submit(ServingRequest::execute(
             Arc::clone(&matrix),
             Arc::clone(&x),
             iterations,
-        ))
-        .wait()
+        )))
         .expect("healthy worker")
     };
 

@@ -4,9 +4,12 @@
 //! single hang, and the front-door balance identity holds with the stage in
 //! the path.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::wait_bounded;
 use seer::core::training::TrainingConfig;
 use seer::gpu::{Fleet, Gpu};
 use seer::sparse::collection::{generate, CollectionConfig};
@@ -56,7 +59,7 @@ fn routed_fleet_pool_matches_a_sequential_replay() {
     assert!(tickets.iter().all(|t| t.shard() == usize::MAX));
     let pooled: Vec<_> = tickets
         .into_iter()
-        .map(|t| t.wait().expect("healthy routed pool"))
+        .map(|t| wait_bounded(t).expect("healthy routed pool"))
         .collect();
 
     let replay = SeerEngine::with_fleet(fleet, trained.models_handle());
@@ -108,7 +111,7 @@ fn routed_burst_execution_is_bit_identical() {
         }
     }
     for (index, (ticket, reference)) in tickets.into_iter().zip(&expected).enumerate() {
-        let response = ticket.wait().expect("healthy routed pool");
+        let response = wait_bounded(ticket).expect("healthy routed pool");
         assert_eq!(response.selection, reference.selection);
         assert_eq!(
             response.result.as_deref(),
@@ -170,10 +173,10 @@ fn retire_racing_the_routing_worker_rehomes_every_ticket() {
         // Every racing ticket resolves typed — Ok (possibly on the victim,
         // if it was served before the retire) or a typed error from the
         // race window — never a hang.
-        let _ = ticket.wait();
+        let _ = wait_bounded(ticket);
     }
     for (index, ticket) in post_retire.into_iter().enumerate() {
-        let response = ticket.wait().expect("survivors serve post-retire work");
+        let response = wait_bounded(ticket).expect("survivors serve post-retire work");
         assert_ne!(
             response.selection.device, victim,
             "post-retire request {index} served on the retired device"

@@ -11,8 +11,11 @@
 //! 2. **exact accounting** — the pool's counters sum exactly to the request
 //!    count: no request is lost, none is double-counted.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::wait_bounded;
 use seer::core::inference::{Selection, SelectionPolicy};
 use seer::core::training::TrainingConfig;
 use seer::gpu::Gpu;
@@ -69,7 +72,7 @@ fn eight_submitters_get_bit_identical_results_and_exact_counters() {
                             Arc::clone(&corpus[request.matrix_index]),
                             request.iterations,
                         ));
-                        (position, ticket.wait().expect("healthy worker"))
+                        (position, wait_bounded(ticket).expect("healthy worker"))
                     })
                     .collect::<Vec<_>>()
             })
@@ -156,16 +159,14 @@ fn mixed_policies_under_concurrency_stay_deterministic() {
                     .enumerate()
                     .map(|(offset, request)| {
                         let policy = policies[(thread_index + offset) % policies.len()];
-                        let response = pool
-                            .submit(
-                                ServingRequest::select(
-                                    Arc::clone(&corpus[request.matrix_index]),
-                                    request.iterations,
-                                )
-                                .with_policy(policy),
+                        let request_ticket = pool.submit(
+                            ServingRequest::select(
+                                Arc::clone(&corpus[request.matrix_index]),
+                                request.iterations,
                             )
-                            .wait()
-                            .expect("healthy worker");
+                            .with_policy(policy),
+                        );
+                        let response = wait_bounded(request_ticket).expect("healthy worker");
                         (request.matrix_index, request.iterations, policy, response)
                     })
                     .collect::<Vec<_>>()
@@ -224,7 +225,7 @@ fn tickets_can_be_polled_without_blocking_until_served() {
     let replay = SeerEngine::new(engine.gpu_handle(), engine.models_handle());
     for (index, ticket) in done {
         assert!(ticket.is_done(), "is_done stays true once served");
-        let response = ticket.wait().expect("healthy worker");
+        let response = wait_bounded(ticket).expect("healthy worker");
         assert_eq!(
             response.selection,
             replay.select_with_policy(&corpus[index], 19, SelectionPolicy::Adaptive)
@@ -245,7 +246,7 @@ fn tickets_can_be_polled_without_blocking_until_served() {
         replay.select_with_policy(&corpus[0], 1, SelectionPolicy::Adaptive)
     );
     // The non-consuming wait left the response in place for wait().
-    assert_eq!(ticket.wait().expect("healthy worker"), response);
+    assert_eq!(wait_bounded(ticket).expect("healthy worker"), response);
     pool.shutdown();
 }
 
