@@ -40,15 +40,23 @@
 //!    bounded number once the drift lifts (epsilon-greedy exploration).
 //!
 //! All properties are *asserted*, not just reported — the binary exits
-//! non-zero if any regresses. With `--check` it additionally replays every
-//! corpus selection against `tests/golden_selections.txt` (same corpus seed
-//! and training config as `cargo test --test selection_golden`), proving
-//! neither the fused profile nor the prepared plans changed any selection.
+//! non-zero if any regresses. With `--check` it additionally:
+//!
+//! - sweeps every kernel's prepared path and a plain CSR loop over the
+//!   corpus (best of N passes each, in the same run) and asserts that
+//!   `CSR,WM` and `CSR,BM` cost at most 2.0x (`MAX_FLOOR_RATIO`) the plain
+//!   CSR ns/nnz, printing and recording all eight ratios;
+//! - replays every corpus selection against `tests/golden_selections.txt`
+//!   (same corpus seed and training config as `cargo test --test
+//!   selection_golden`), proving neither the fused profile nor the prepared
+//!   plans changed any selection.
+//!
 //! Results are written to `BENCH_selection.json` (override with `--out
 //! PATH`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -57,7 +65,7 @@ use seer_core::engine::{
 };
 use seer_core::training::TrainingConfig;
 use seer_gpu::{DeviceRegistry, Fleet, Gpu, GpuSpec};
-use seer_kernels::{kernel, ComputeScratch, KernelId, MatrixBenchmark};
+use seer_kernels::{kernel, ComputeScratch, KernelId, MatrixBenchmark, PreparedPlan};
 use seer_sparse::collection::{generate, CollectionConfig, DatasetEntry, SizeScale};
 use seer_sparse::MatrixProfile;
 
@@ -90,6 +98,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// the fused profile: one sampled `MatrixProfile` per kernel model (8), plus
 /// the feature collector's `RowStats` pass and its cost model's profile.
 const LEGACY_SWEEPS_PER_SELECTION: u64 = 10;
+
+/// Kernels whose host emulation `--check` holds near the plain-CSR floor,
+/// and the largest ns/nnz ratio to that floor it accepts for them.
+const FLOOR_GATED: [KernelId; 2] = [KernelId::CsrWavefrontMapped, KernelId::CsrBlockMapped];
+const MAX_FLOOR_RATIO: f64 = 2.0;
 
 /// Which engine execute path the steady-state section pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,6 +181,61 @@ fn locate_golden_table() -> Option<String> {
     candidates
         .iter()
         .find_map(|path| std::fs::read_to_string(path).ok())
+}
+
+/// Aggregate ns/nnz over `collection` of every kernel's prepared path (in
+/// `KernelId::ALL` order) and of a plain `CsrMatrix::spmv_into` loop, each
+/// the best of `reps` whole-corpus passes. The passes interleave kernels
+/// rep by rep so host noise hits every kernel alike.
+fn kernel_floor_sweep(collection: &[DatasetEntry], reps: usize) -> (Vec<f64>, f64) {
+    let inputs: Vec<Vec<f64>> = collection
+        .iter()
+        .map(|entry| {
+            (0..entry.matrix.cols())
+                .map(|i| 1.0 + (i % 7) as f64)
+                .collect()
+        })
+        .collect();
+    let plans: Vec<Vec<PreparedPlan>> = KernelId::ALL
+        .iter()
+        .map(|&id| {
+            collection
+                .iter()
+                .map(|entry| kernel(id).prepare(&entry.matrix, entry.matrix.profile()))
+                .collect()
+        })
+        .collect();
+    let nnz: usize = collection.iter().map(|entry| entry.matrix.nnz()).sum();
+    let max_rows = collection
+        .iter()
+        .map(|e| e.matrix.rows())
+        .max()
+        .unwrap_or(0);
+    let mut y = vec![0.0; max_rows];
+    let mut scratch = ComputeScratch::new();
+    let mut best = vec![f64::INFINITY; KernelId::ALL.len()];
+    let mut best_floor = f64::INFINITY;
+    for _ in 0..reps {
+        for ((&id, plans), best) in KernelId::ALL.iter().zip(&plans).zip(&mut best) {
+            let k = kernel(id);
+            let start = Instant::now();
+            for ((entry, plan), x) in collection.iter().zip(plans).zip(&inputs) {
+                let y = &mut y[..entry.matrix.rows()];
+                k.compute_prepared_into(plan, &entry.matrix, x, y, &mut scratch);
+                black_box(y);
+            }
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+        let start = Instant::now();
+        for (entry, x) in collection.iter().zip(&inputs) {
+            let y = &mut y[..entry.matrix.rows()];
+            entry.matrix.spmv_into(x, y);
+            black_box(y);
+        }
+        best_floor = best_floor.min(start.elapsed().as_secs_f64());
+    }
+    let per_nnz = |secs: f64| 1e9 * secs / nnz.max(1) as f64;
+    (best.into_iter().map(per_nnz).collect(), per_nnz(best_floor))
 }
 
 fn main() {
@@ -801,9 +869,27 @@ fn main() {
         "the EWMA must converge toward the injected slowdown, got {drifted_factor:.2}"
     );
 
-    // ---- 6. Optional golden-selection agreement check. -------------------
+    // ---- 6. Optional checks: kernel cost floor and golden selections. ----
+    let mut floor_ratios: Option<(usize, f64, Vec<f64>)> = None;
     let mut golden_checked = false;
     if options.check {
+        let reps = if options.smoke { 10 } else { 30 };
+        let (ns_per_nnz, floor_ns) = kernel_floor_sweep(&collection, reps);
+        let ratios: Vec<f64> = ns_per_nnz.iter().map(|ns| ns / floor_ns).collect();
+        println!("\nkernel cost vs plain CSR (prepared path, best of {reps} corpus passes):");
+        println!("  plain CSR  {floor_ns:>6.2} ns/nnz");
+        for ((id, ns), ratio) in KernelId::ALL.iter().zip(&ns_per_nnz).zip(&ratios) {
+            println!("  {:<9} {ns:>7.2} ns/nnz   {ratio:.2}x", id.label());
+        }
+        let gated = KernelId::ALL.iter().zip(&ratios);
+        for (id, ratio) in gated.filter(|(id, _)| FLOOR_GATED.contains(id)) {
+            assert!(
+                *ratio <= MAX_FLOOR_RATIO,
+                "{id} costs {ratio:.2}x the plain-CSR floor, above the {MAX_FLOOR_RATIO:.1}x gate"
+            );
+        }
+        floor_ratios = Some((reps, floor_ns, ratios));
+
         let golden = locate_golden_table().expect(
             "tests/golden_selections.txt not found; run from the workspace root \
              or regenerate it with SEER_BLESS_GOLDEN=1 cargo test --test selection_golden",
@@ -839,7 +925,7 @@ fn main() {
         );
     }
 
-    // ---- 6. Emit the JSON trajectory point. ------------------------------
+    // ---- 7. Emit the JSON trajectory point. ------------------------------
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"profile_selection\",");
     let _ = writeln!(json, "  \"corpus_matrices\": {},", collection.len());
@@ -1023,6 +1109,26 @@ fn main() {
         recal_stats.explored_selections
     );
     let _ = writeln!(json, "  }},");
+    match &floor_ratios {
+        Some((reps, floor_ns, ratios)) => {
+            let _ = writeln!(json, "  \"kernel_floor\": {{");
+            let _ = writeln!(json, "    \"reps\": {reps},");
+            let _ = writeln!(json, "    \"floor_ns_per_nnz\": {floor_ns:.3},");
+            let gated: Vec<String> = FLOOR_GATED.iter().map(|id| format!("\"{id}\"")).collect();
+            let _ = writeln!(json, "    \"gated\": [{}],", gated.join(", "));
+            let _ = writeln!(json, "    \"max_gated_ratio\": {MAX_FLOOR_RATIO:.1},");
+            let _ = writeln!(json, "    \"ratios\": {{");
+            for (i, (id, ratio)) in KernelId::ALL.iter().zip(ratios).enumerate() {
+                let comma = if i + 1 < ratios.len() { "," } else { "" };
+                let _ = writeln!(json, "      \"{}\": {ratio:.3}{comma}", id.label());
+            }
+            let _ = writeln!(json, "    }}");
+            let _ = writeln!(json, "  }},");
+        }
+        None => {
+            let _ = writeln!(json, "  \"kernel_floor\": null,");
+        }
+    }
     let _ = writeln!(json, "  \"golden_checked\": {golden_checked}");
     json.push_str("}\n");
     std::fs::write(&options.out, &json).expect("writing the bench report");

@@ -4,7 +4,7 @@
 //! [`seer_sparse::MatrixProfile`], memoized on the matrix; the kernel models
 //! receive it by reference instead of re-deriving it.
 
-use seer_sparse::CsrMatrix;
+use seer_sparse::{CsrMatrix, Scalar};
 
 /// Microarchitectural cost constants shared by every kernel model.
 ///
@@ -106,6 +106,124 @@ pub(crate) fn row_groups(
     })
 }
 
+/// Longest row [`lane_tree_sum`] reduces in a register-resident tree; longer
+/// rows go through the scratch lane buffer.
+const REGISTER_TREE_MAX: usize = 32;
+
+/// The row sum `Σ vals[k] * x[cols[k]]` exactly as the device computes it:
+/// `lanes` lanes (a power of two) start at `+0.0`, lane `k % lanes`
+/// accumulates product `k` in row order, and a halving tree
+/// (`partial[i] += partial[i + width]`, `width = lanes / 2, …, 1`) combines
+/// them. The result is bit-identical to that loop for every input, but the
+/// work scales with the row instead of with `lanes`.
+///
+/// Why skipping lanes is exact: every lane starts at `+0.0`, and a
+/// round-to-nearest sum is `-0.0` only when both operands are, so no partial
+/// of the original loop is ever `-0.0`. Adding a `+0.0` lane (or an all-zero
+/// subtree, which sums to `+0.0`) to any value other than `-0.0` returns that
+/// value, NaN and ±inf included, so every add whose right operand is a lane
+/// the row never reached can be dropped. Here the lanes also start from the
+/// raw products rather than from `+0.0 + product`, so a `-0.0` product can
+/// survive where the original turned it into `+0.0`. A signed zero is still
+/// the identity for every nonzero operand, so that changes nothing but the
+/// sign of an all-zero result, which the final `sum == 0.0` fixup restores
+/// to the original's `+0.0`.
+///
+/// Rows of up to [`REGISTER_TREE_MAX`] nonzeros reduce in a `[f64; K]`
+/// array zero-padded to `K ∈ {4, 8, 16, 32}`, with constant loop bounds the
+/// compiler unrolls. Longer rows use the first `min(n, lanes)` slots of
+/// `partial` and add only the pairs whose right lane the row reached.
+pub(crate) fn lane_tree_sum(
+    cols: &[usize],
+    vals: &[Scalar],
+    x: &[Scalar],
+    lanes: usize,
+    partial: &mut [Scalar],
+) -> Scalar {
+    debug_assert!(lanes.is_power_of_two());
+    let n = cols.len();
+    let sum = if n > REGISTER_TREE_MAX.min(lanes) {
+        buffered_tree(cols, vals, x, lanes, partial)
+    } else if n <= 4 {
+        register_tree::<4>(cols, vals, x)
+    } else if n <= 8 {
+        register_tree::<8>(cols, vals, x)
+    } else if n <= 16 {
+        register_tree::<16>(cols, vals, x)
+    } else {
+        register_tree::<REGISTER_TREE_MAX>(cols, vals, x)
+    };
+    if sum == 0.0 {
+        0.0
+    } else {
+        sum
+    }
+}
+
+/// Halving tree over the row's products zero-padded to `K` lanes; the caller
+/// guarantees `cols.len() <= K`.
+#[inline(always)]
+fn register_tree<const K: usize>(cols: &[usize], vals: &[Scalar], x: &[Scalar]) -> Scalar {
+    let n = cols.len();
+    let vals = &vals[..n];
+    let mut lane = [0.0; K];
+    // A guarded loop over all `K` lanes, not one over the row: its constant
+    // trip count lets the compiler unroll it and keep `lane` in registers.
+    // Stored products read back by the tree's wide loads stall on store
+    // forwarding (measured ~2x slower on 9–16 nonzero rows).
+    for (i, slot) in lane.iter_mut().enumerate() {
+        if i < n {
+            *slot = vals[i] * x[cols[i]];
+        }
+    }
+    let mut width = K;
+    while width > 1 {
+        width /= 2;
+        for i in 0..width {
+            lane[i] += lane[i + width];
+        }
+    }
+    lane[0]
+}
+
+/// Striding lanes in the first `min(n, lanes)` slots of `partial`, then the
+/// halving tree restricted to the lanes the row reached.
+fn buffered_tree(
+    cols: &[usize],
+    vals: &[Scalar],
+    x: &[Scalar],
+    lanes: usize,
+    partial: &mut [Scalar],
+) -> Scalar {
+    let reached = cols.len().min(lanes);
+    let partial = &mut partial[..reached];
+    let (first_cols, rest_cols) = cols.split_at(reached);
+    let (first_vals, rest_vals) = vals.split_at(reached);
+    for ((lane, &c), &v) in partial.iter_mut().zip(first_cols).zip(first_vals) {
+        *lane = v * x[c];
+    }
+    // Chunk `j` of the rest holds slots `(j + 1) * lanes ..`: lane `i` sees
+    // products `i, i + lanes, …` in row order, as on the device.
+    for (chunk_cols, chunk_vals) in rest_cols.chunks(lanes).zip(rest_vals.chunks(lanes)) {
+        for ((lane, &c), &v) in partial.iter_mut().zip(chunk_cols).zip(chunk_vals) {
+            *lane += v * x[c];
+        }
+    }
+    // Lanes `reached..` of the padded tree hold `+0.0`; only lanes below
+    // `len` take part at each width.
+    let mut len = reached;
+    let mut width = reached.next_power_of_two() / 2;
+    while width >= 1 {
+        let (low, high) = partial.split_at_mut(width);
+        for (a, &b) in low.iter_mut().zip(&high[..len - width]) {
+            *a += b;
+        }
+        len = width;
+        width /= 2;
+    }
+    partial[0]
+}
+
 /// Integer log2 rounded up, with `ceil_log2(0) == 0` and `ceil_log2(1) == 0`.
 pub(crate) fn ceil_log2(x: usize) -> u32 {
     if x <= 1 {
@@ -113,6 +231,40 @@ pub(crate) fn ceil_log2(x: usize) -> u32 {
     } else {
         usize::BITS - (x - 1).leading_zeros()
     }
+}
+
+/// A matrix with an empty row, rows on both sides of every register-tree
+/// size (4, 8, 16, 32) and of the 64- and 256-lane buffers, and a last row
+/// of four `-0.0` products (a full register tree with no `+0.0` padding;
+/// its sum must be `+0.0`), with the input vector to multiply it by.
+#[cfg(test)]
+pub(crate) fn padded_size_matrix() -> (CsrMatrix, Vec<Scalar>) {
+    let cols = 300;
+    let lengths = [
+        0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 64, 65, 255, 256, 257,
+    ];
+    let mut offsets = vec![0];
+    let mut col_indices = Vec::new();
+    let mut values = Vec::new();
+    for (row, &len) in lengths.iter().enumerate() {
+        for k in 0..len {
+            col_indices.push((7 * k + row) % cols);
+            values.push(1.0 / (1 + k + row) as Scalar - 0.01 * k as Scalar);
+        }
+        // Columns must ascend within a row.
+        let start = offsets[row];
+        col_indices[start..].sort_unstable();
+        offsets.push(col_indices.len());
+    }
+    for c in 0..4 {
+        col_indices.push(c);
+        values.push(-0.0);
+    }
+    offsets.push(col_indices.len());
+    let x = (0..cols).map(|i| 0.25 * i as Scalar + 1.0).collect();
+    let matrix = CsrMatrix::try_new(offsets.len() - 1, cols, offsets, col_indices, values)
+        .expect("padded-size rows are valid CSR");
+    (matrix, x)
 }
 
 #[cfg(test)]

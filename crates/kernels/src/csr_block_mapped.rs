@@ -3,7 +3,7 @@
 use seer_gpu::{Gpu, KernelTiming, SimTime};
 use seer_sparse::{CsrMatrix, Scalar};
 
-use crate::common::{ceil_log2, CostParams};
+use crate::common::{ceil_log2, lane_tree_sum, CostParams};
 use crate::registry::KernelId;
 use crate::{ComputeScratch, LoadBalancing, MatrixProfile, SparseFormat, SpmvKernel};
 
@@ -13,7 +13,9 @@ use crate::{ComputeScratch, LoadBalancing, MatrixProfile, SparseFormat, SpmvKern
 /// reducing partial sums through LDS. This is the schedule of choice for
 /// matrices with extremely long rows — the per-row stride is 256 — but it
 /// multiplies the per-row fixed overhead by four wavefronts, so it is the
-/// worst option for matrices of short rows.
+/// worst option for matrices of short rows. That is the modelled device
+/// cost; the host emulation returns the same bits as the 256-lane reduction
+/// with work proportional to the row.
 #[derive(Debug, Clone, Default)]
 pub struct CsrBlockMapped {
     params: CostParams,
@@ -110,20 +112,16 @@ impl SpmvKernel for CsrBlockMapped {
             "output vector length must equal matrix rows"
         );
         let partial = scratch.lanes(Self::BLOCK);
-        for (row, out) in y.iter_mut().enumerate() {
-            let (cols, vals) = matrix.row(row);
-            partial.iter_mut().for_each(|p| *p = 0.0);
-            for (slot, (&c, &v)) in cols.iter().zip(vals).enumerate() {
-                partial[slot % Self::BLOCK] += v * x[c];
-            }
-            let mut width = Self::BLOCK;
-            while width > 1 {
-                width /= 2;
-                for lane in 0..width {
-                    partial[lane] += partial[lane + width];
-                }
-            }
-            *out = partial[0];
+        let (col_indices, values) = (matrix.col_indices(), matrix.values());
+        for (out, window) in y.iter_mut().zip(matrix.row_offsets().windows(2)) {
+            let span = window[0]..window[1];
+            *out = lane_tree_sum(
+                &col_indices[span.clone()],
+                &values[span],
+                x,
+                Self::BLOCK,
+                partial,
+            );
         }
     }
 }
@@ -131,6 +129,7 @@ impl SpmvKernel for CsrBlockMapped {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::padded_size_matrix;
     use crate::{CsrThreadMapped, CsrWavefrontMapped};
     use seer_sparse::{generators, SplitMix64};
 
@@ -189,14 +188,23 @@ mod tests {
         let m = generators::uniform_row_length(128, 700, &mut rng);
         let x: Vec<f64> = (0..m.cols()).map(|i| ((i * 13) % 5) as f64 - 2.0).collect();
         let kernel = CsrBlockMapped::new();
-        let plan = kernel.prepare(&m, m.profile());
-        assert!(!plan.is_materialized());
-        let streamed = kernel.compute(&m, &x);
-        let mut prepared = vec![f64::NAN; m.rows()];
         let mut scratch = ComputeScratch::new();
-        kernel.compute_prepared_into(&plan, &m, &x, &mut prepared, &mut scratch);
-        for (a, b) in prepared.iter().zip(&streamed) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for (m, x) in [(m, x), padded_size_matrix()] {
+            let plan = kernel.prepare(&m, m.profile());
+            assert!(!plan.is_materialized());
+            let streamed = kernel.compute(&m, &x);
+            let mut prepared = vec![f64::NAN; m.rows()];
+            kernel.compute_prepared_into(&plan, &m, &x, &mut prepared, &mut scratch);
+            for (a, b) in prepared.iter().zip(&streamed) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            for (a, b) in streamed.iter().zip(&m.spmv(&x)) {
+                assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0));
+            }
         }
+        // The all-`-0.0` row sums to `+0.0`, as the `+0.0`-seeded lanes do.
+        let (m, x) = padded_size_matrix();
+        let y = kernel.compute(&m, &x);
+        assert_eq!(y[m.rows() - 1].to_bits(), 0.0f64.to_bits());
     }
 }

@@ -3,7 +3,7 @@
 use seer_gpu::{Gpu, KernelTiming, SimTime};
 use seer_sparse::{CsrMatrix, Scalar};
 
-use crate::common::{ceil_log2, CostParams};
+use crate::common::{ceil_log2, lane_tree_sum, CostParams};
 use crate::registry::KernelId;
 use crate::{ComputeScratch, LoadBalancing, MatrixProfile, SparseFormat, SpmvKernel};
 
@@ -12,9 +12,12 @@ use crate::{ComputeScratch, LoadBalancing, MatrixProfile, SparseFormat, SpmvKern
 /// All 64 lanes of a wavefront cooperate on a single row, striding across its
 /// nonzeros and combining partial sums with a log-step shuffle reduction.
 /// Long rows are digested 64 entries per step, so skew is far less painful
-/// than for [`crate::CsrThreadMapped`]; the price is that short rows leave
-/// most lanes idle and still pay the full reduction, so matrices with a small
-/// average row length waste the machine.
+/// than for [`crate::CsrThreadMapped`]; the price, in the modelled device
+/// cost, is that short rows leave most lanes idle and still pay the full
+/// six-step reduction, so matrices with a small average row length waste the
+/// machine. The host emulation returns the same bits with work proportional
+/// to the row: a short row reduces only the lanes it reaches, since the idle
+/// lanes hold `+0.0` and add nothing.
 #[derive(Debug, Clone, Default)]
 pub struct CsrWavefrontMapped {
     params: CostParams,
@@ -103,22 +106,10 @@ impl SpmvKernel for CsrWavefrontMapped {
         );
         let lanes = 64;
         let partial = scratch.lanes(lanes);
-        for (row, out) in y.iter_mut().enumerate() {
-            let (cols, vals) = matrix.row(row);
-            partial.iter_mut().for_each(|p| *p = 0.0);
-            // Lanes stride across the row, as the real kernel does.
-            for (slot, (&c, &v)) in cols.iter().zip(vals).enumerate() {
-                partial[slot % lanes] += v * x[c];
-            }
-            // Log-step reduction mirrors the shuffle-based combine.
-            let mut width = lanes;
-            while width > 1 {
-                width /= 2;
-                for lane in 0..width {
-                    partial[lane] += partial[lane + width];
-                }
-            }
-            *out = partial[0];
+        let (col_indices, values) = (matrix.col_indices(), matrix.values());
+        for (out, window) in y.iter_mut().zip(matrix.row_offsets().windows(2)) {
+            let span = window[0]..window[1];
+            *out = lane_tree_sum(&col_indices[span.clone()], &values[span], x, lanes, partial);
         }
     }
 }
@@ -126,6 +117,7 @@ impl SpmvKernel for CsrWavefrontMapped {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::padded_size_matrix;
     use crate::CsrThreadMapped;
     use seer_sparse::{generators, SplitMix64};
 
@@ -198,14 +190,23 @@ mod tests {
         let m = generators::skewed_rows(300, 3, 150, 0.04, &mut rng);
         let x: Vec<f64> = (0..m.cols()).map(|i| 0.25 * i as f64 - 10.0).collect();
         let kernel = CsrWavefrontMapped::new();
-        let plan = kernel.prepare(&m, m.profile());
-        assert!(!plan.is_materialized());
-        let streamed = kernel.compute(&m, &x);
-        let mut prepared = vec![f64::NAN; m.rows()];
         let mut scratch = ComputeScratch::new();
-        kernel.compute_prepared_into(&plan, &m, &x, &mut prepared, &mut scratch);
-        for (a, b) in prepared.iter().zip(&streamed) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for (m, x) in [(m, x), padded_size_matrix()] {
+            let plan = kernel.prepare(&m, m.profile());
+            assert!(!plan.is_materialized());
+            let streamed = kernel.compute(&m, &x);
+            let mut prepared = vec![f64::NAN; m.rows()];
+            kernel.compute_prepared_into(&plan, &m, &x, &mut prepared, &mut scratch);
+            for (a, b) in prepared.iter().zip(&streamed) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            for (a, b) in streamed.iter().zip(&m.spmv(&x)) {
+                assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0));
+            }
         }
+        // The all-`-0.0` row sums to `+0.0`, as the `+0.0`-seeded lanes do.
+        let (m, x) = padded_size_matrix();
+        let y = kernel.compute(&m, &x);
+        assert_eq!(y[m.rows() - 1].to_bits(), 0.0f64.to_bits());
     }
 }

@@ -137,10 +137,10 @@ impl fmt::Display for LoadBalancing {
 
 /// Reusable per-thread scratch space for [`SpmvKernel::compute_into`].
 ///
-/// The cooperative schedules (wavefront-, block-mapped) mirror their lane
-/// partial sums in a small buffer; holding it here lets a serving worker run
-/// millions of functional executions without a single heap allocation after
-/// warm-up.
+/// The cooperative schedules (wavefront-, block-mapped) reduce rows longer
+/// than a register tree through a buffer of lane partial sums; holding it
+/// here lets a serving worker run millions of functional executions without
+/// a single heap allocation after warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct ComputeScratch {
     lanes: Vec<Scalar>,
@@ -153,7 +153,8 @@ impl ComputeScratch {
     }
 
     /// A lane-partial buffer of at least `n` slots. Contents are
-    /// unspecified; kernels zero the lanes they use per row.
+    /// unspecified: a kernel zeroes whatever prefix a row reaches before
+    /// using it (rows short enough for a register tree never touch it).
     pub fn lanes(&mut self, n: usize) -> &mut [Scalar] {
         if self.lanes.len() < n {
             self.lanes.resize(n, 0.0);

@@ -223,3 +223,194 @@ fn sweep_agrees_with_csr_spmv_on_random_rectangular_shapes() {
         }
     }
 }
+
+/// The lane-buffer loop `CSR,WM` (64 lanes) and `CSR,BM` (256 lanes) model:
+/// every lane starts at `+0.0`, lane `slot % lanes` accumulates the row's
+/// products in order, and a halving tree combines the lanes. The kernels'
+/// row reduction must reproduce it bit for bit.
+fn lane_buffer_reference(matrix: &CsrMatrix, x: &[f64], lanes: usize) -> Vec<f64> {
+    let mut partial = vec![0.0; lanes];
+    (0..matrix.rows())
+        .map(|row| {
+            let (cols, vals) = matrix.row(row);
+            partial.iter_mut().for_each(|p| *p = 0.0);
+            for (slot, (&c, &v)) in cols.iter().zip(vals).enumerate() {
+                partial[slot % lanes] += v * x[c];
+            }
+            let mut width = lanes;
+            while width > 1 {
+                width /= 2;
+                for lane in 0..width {
+                    partial[lane] += partial[lane + width];
+                }
+            }
+            partial[0]
+        })
+        .collect()
+}
+
+/// Row lengths around every padded register-tree size, the register/buffer
+/// boundary and both lane counts.
+const LANE_SWEEP_LENGTHS: [usize; 17] = [
+    0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 255, 256, 257,
+];
+
+/// Value classes of the exact-order sweep: each yields a matrix value for
+/// column `c` of row slot `slot` in a row of `len`, against the class's `x`.
+#[derive(Debug, Clone, Copy)]
+enum ValueClass {
+    /// Mixed signs over 40 binades: rounding in every add.
+    Random,
+    /// Every product is `-0.0`: the row sum must be `+0.0`.
+    NegativeZeros,
+    /// Small integers (and signed zeros) summing to exactly zero.
+    Cancelling,
+    /// Subnormal products of both signs.
+    Subnormal,
+    /// Random products with ±inf and NaN sprinkled in.
+    NonFinite,
+}
+
+/// One matrix per value class holding `reps` rows of every sweep length,
+/// plus the input vector the class's products are defined against.
+fn lane_sweep_matrix(
+    class: ValueClass,
+    reps: usize,
+    rng: &mut SplitMix64,
+) -> (CsrMatrix, Vec<f64>) {
+    let cols = 300;
+    let x: Vec<f64> = (0..cols)
+        .map(|_| match class {
+            ValueClass::Cancelling => 1.0,
+            _ => {
+                let magnitude = rng.next_f64_range(0.5, 2.0);
+                if rng.next_below(2) == 0 {
+                    magnitude
+                } else {
+                    -magnitude
+                }
+            }
+        })
+        .collect();
+    let mut offsets = vec![0];
+    let mut col_indices = Vec::new();
+    let mut values = Vec::new();
+    let mut all_cols: Vec<usize> = (0..cols).collect();
+    for _ in 0..reps {
+        for &len in &LANE_SWEEP_LENGTHS {
+            rng.shuffle(&mut all_cols);
+            let mut row_cols = all_cols[..len].to_vec();
+            row_cols.sort_unstable();
+            let mut row_vals: Vec<f64> = row_cols
+                .iter()
+                .map(|&c| match class {
+                    ValueClass::Random => {
+                        let exponent = rng.next_range(0, 41) as i32 - 20;
+                        rng.next_f64_range(-1.0, 1.0) * 2f64.powi(exponent)
+                    }
+                    ValueClass::NegativeZeros => {
+                        if x[c] > 0.0 {
+                            -0.0
+                        } else {
+                            0.0
+                        }
+                    }
+                    ValueClass::Cancelling => match rng.next_below(6) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.next_range(0, 17) as f64 - 8.0,
+                    },
+                    ValueClass::Subnormal => {
+                        let ulps = rng.next_range(0, 1 << 20) as f64;
+                        let tiny = ulps * f64::from_bits(1);
+                        if rng.next_below(2) == 0 {
+                            tiny
+                        } else {
+                            -tiny
+                        }
+                    }
+                    ValueClass::NonFinite => match rng.next_below(24) {
+                        0 => f64::INFINITY,
+                        1 => f64::NEG_INFINITY,
+                        2 => f64::NAN,
+                        _ => rng.next_f64_range(-1.0, 1.0),
+                    },
+                })
+                .collect();
+            if let (ValueClass::Cancelling, Some(last)) = (class, row_vals.len().checked_sub(1)) {
+                // Small integers add exactly, so the row cancels whatever
+                // the summation order.
+                let rest: f64 = row_vals[..last].iter().sum();
+                row_vals[last] = -rest;
+            }
+            col_indices.extend(row_cols);
+            values.extend(row_vals);
+            offsets.push(col_indices.len());
+        }
+    }
+    let rows = offsets.len() - 1;
+    let matrix = CsrMatrix::try_new(rows, cols, offsets, col_indices, values)
+        .expect("lane sweep rows are valid CSR");
+    (matrix, x)
+}
+
+/// Bit equality, except that two NaNs agree whatever their payloads (Rust
+/// does not pin the payload an arithmetic NaN carries).
+fn assert_same_bits(label: &str, got: &[f64], want: &[f64]) {
+    assert_eq!(got.len(), want.len(), "{label}: wrong output length");
+    for (row, (a, b)) in got.iter().zip(want).enumerate() {
+        if b.is_nan() {
+            assert!(
+                a.is_nan(),
+                "{label} row {row}: {a} where the lanes give NaN"
+            );
+        } else {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{label} row {row}: {a:e} where the lanes give {b:e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cooperative_row_reductions_match_the_lane_buffer_bit_for_bit() {
+    use seer::kernels::{kernel, ComputeScratch};
+    let mut rng = SplitMix64::new(0x1A4E);
+    let classes = [
+        ValueClass::Random,
+        ValueClass::NegativeZeros,
+        ValueClass::Cancelling,
+        ValueClass::Subnormal,
+        ValueClass::NonFinite,
+    ];
+    let mut scratch = ComputeScratch::new();
+    for class in classes {
+        let (matrix, x) = lane_sweep_matrix(class, 24, &mut rng);
+        for (id, lanes) in [
+            (KernelId::CsrWavefrontMapped, 64),
+            (KernelId::CsrBlockMapped, 256),
+        ] {
+            let want = lane_buffer_reference(&matrix, &x, lanes);
+            let k = kernel(id);
+            let mut got = vec![f64::NAN; matrix.rows()];
+            k.compute_into(&matrix, &x, &mut got, &mut scratch);
+            assert_same_bits(&format!("{id} compute_into on {class:?}"), &got, &want);
+            let plan = k.prepare(&matrix, matrix.profile());
+            let mut got = vec![f64::NAN; matrix.rows()];
+            k.compute_prepared_into(&plan, &matrix, &x, &mut got, &mut scratch);
+            assert_same_bits(
+                &format!("{id} compute_prepared_into on {class:?}"),
+                &got,
+                &want,
+            );
+        }
+        if let ValueClass::NegativeZeros = class {
+            // The class is only meaningful if the rows really are all -0.0.
+            assert!(lane_buffer_reference(&matrix, &x, 64)
+                .iter()
+                .all(|y| y.to_bits() == 0));
+        }
+    }
+}
