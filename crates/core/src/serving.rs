@@ -6,14 +6,19 @@
 //! [`ServingPool`] scales the service out instead of up:
 //!
 //! * it owns `N` **shards**, each a private [`SeerEngine`] sharing one
-//!   device fleet and one set of trained models, plus one `std::thread`
-//!   worker draining a queue;
+//!   device fleet and one set of trained models — a shard is a *cache
+//!   partition*, the home engine of the matrices routed to it — plus one
+//!   `std::thread` worker per shard;
 //! * requests are routed by
 //!   [`sparsity_fingerprint`](seer_sparse::CsrMatrix::sparsity_fingerprint)` %
 //!   N` — the key the engine caches under, which a value-only
 //!   [`update_values`](seer_sparse::CsrMatrix::update_values) keeps — so
 //!   every sparsity pattern has one home shard and no selection or
 //!   [`seer_kernels::PreparedPlan`] is computed twice across shards;
+//! * the workers of a device share **one queue** for all of its shards:
+//!   any idle worker takes the next job and serves it on the job's home
+//!   engine with its own workspace, so a hot matrix runs on every core
+//!   instead of queueing behind one worker;
 //! * [`ServingPool::submit`] is non-blocking and returns a [`Ticket`] that
 //!   resolves to the [`ServingResponse`]; [`ServingPool::drain`] blocks until
 //!   every accepted request has been served; [`ServingPool::shutdown`] drains,
@@ -23,26 +28,36 @@
 //! policy), a pooled run returns **bit-identical** selections to a sequential
 //! [`SeerEngine`] replay of the same request stream, whatever the
 //! thread/shard interleaving — `tests/serving_pool.rs` holds this invariant
-//! under an 8-thread hammer.
+//! under an 8-thread hammer. Billing and cache counters match the replay
+//! too, because **at most one worker activates a given fingerprint at a
+//! time**: dequeuing a job marks its fingerprint busy until the job's plan
+//! activation returns, a job whose fingerprint is busy stays queued (later
+//! jobs of other fingerprints may pass it), and so per-fingerprint
+//! activations run in FIFO order — the first misses and is billed, the rest
+//! hit. The mark is cleared before the kernel runs, so executions of one
+//! hot matrix still overlap.
 //!
 //! # The serve path
 //!
 //! Seer pays for a selection once and replays the plan on every later
-//! execution, and a shard worker serves the same way. Each dequeue yields a
-//! *run*: the highest-priority queued job plus — up to
-//! [`RoutingConfig::max_batch`] — the adjacent jobs of its lane that share
-//! its sparsity fingerprint, workload kind, iteration count, policy and
-//! matrix content. A single request is a run of one; every run takes the
-//! one path:
+//! execution, and a worker serves the same way. Each dequeue from the
+//! device queue yields a *run*: the highest-priority queued job whose
+//! fingerprint no other worker is activating, plus — up to
+//! [`RoutingConfig::max_batch`] — the following jobs of its lane and home
+//! shard that share its sparsity fingerprint, workload kind, iteration
+//! count, policy and matrix content. A single request is a run of one;
+//! every run takes the one path, on its home shard's engine:
 //!
 //! 1. **activation**, once per run: a select-only run resolves one
 //!    selection, an execute run resolves its selection and pins the
-//!    prepared plan ([`SeerEngine::activate_plan`]);
+//!    prepared plan ([`SeerEngine::activate_plan`]). The fingerprint's
+//!    busy mark is released as soon as this returns;
 //! 2. **execution**, once per job, replaying the pinned plan
-//!    ([`SeerEngine::try_execute_activated_into`]). The activation's
-//!    selection overhead is billed to the run's first executed job, exactly
-//!    as a sequential replay bills its first cache miss, so responses stay
-//!    **bit-identical** to sequential serving.
+//!    ([`SeerEngine::try_execute_activated_into`]) into the worker's own
+//!    [`EngineWorkspace`]. The activation's selection overhead is billed to
+//!    the run's first executed job, exactly as a sequential replay bills its
+//!    first cache miss, so responses stay **bit-identical** to sequential
+//!    serving.
 //!
 //! Each job is checked against its deadline at dequeue (an expired job is
 //! shed, never executed); a panic fails only its own job
@@ -54,9 +69,10 @@
 //!
 //! A pool built over a multi-device [`Fleet`]
 //! ([`ServingPool::with_fleet`]) becomes a **device-aware router**:
-//! [`PoolConfig::shards`] shards are pinned to *each* device, every shard's
-//! engine shares the whole fleet (so its selections are fleet-wide
-//! deterministic), and routing composes two levels:
+//! [`PoolConfig::shards`] shards are pinned to *each* device (their workers
+//! share the device's queue), every shard's engine shares the whole fleet
+//! (so its selections are fleet-wide deterministic), and routing composes
+//! two levels:
 //!
 //! 1. **device affinity** — a shared router engine resolves the request's
 //!    `(kernel, device)` selection (cached per plan key, so repeat traffic
@@ -90,10 +106,11 @@
 //! # Admission control & overload
 //!
 //! A pool built with [`PoolConfig::with_admission`] grows a guarded front
-//! door for traffic that exceeds capacity. Each shard's queue becomes
-//! **bounded** ([`AdmissionConfig::queue_capacity`]) with three **priority
-//! lanes** ([`Priority::Interactive`] / [`Priority::Batch`] /
-//! [`Priority::BestEffort`]) dequeued strictly in that order, and the pool
+//! door for traffic that exceeds capacity. Each shard's share of its device
+//! queue becomes **bounded** ([`AdmissionConfig::queue_capacity`] counts
+//! only the jobs homed on that shard); every device queue has three
+//! **priority lanes** ([`Priority::Interactive`] / [`Priority::Batch`] /
+//! [`Priority::BestEffort`]) dequeued in that order, and the pool
 //! enforces an optional pool-wide in-flight cap
 //! ([`AdmissionConfig::max_in_flight`]). [`ServingPool::try_submit`] never
 //! blocks: it returns [`SubmitOutcome::Accepted`] with a ticket or
@@ -186,10 +203,13 @@ use crate::training::SeerModels;
 /// Configuration of a [`ServingPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolConfig {
-    /// Number of shards (worker threads with private engines) pinned to
-    /// *each* fleet device: a pool over an `N`-device fleet runs `N x
-    /// shards` workers. For the single-device constructors this is simply
-    /// the total shard count.
+    /// Number of shards pinned to *each* fleet device: a pool over an
+    /// `N`-device fleet runs `N x shards` shards. A shard is a home engine —
+    /// a private [`SeerEngine`], the cache partition its matrices are
+    /// routed to by fingerprint — and brings one worker thread; the
+    /// workers of a device share one queue and serve any of its shards.
+    /// For the single-device constructors this is simply the total shard
+    /// count.
     pub shards: usize,
     /// Enable structure-class selection inheritance
     /// ([`SeerEngine::set_structure_class_reuse`]) on every shard engine and
@@ -204,7 +224,7 @@ pub struct PoolConfig {
     /// traffic reweights placement for the whole pool. `None` (the default)
     /// keeps the pool bit-identical to a sequential engine replay.
     pub recalibration: Option<RecalibrationConfig>,
-    /// Admission control at the pool's front door: bounded per-shard queues,
+    /// Admission control at the pool's front door: per-shard queue bounds,
     /// an optional pool-wide in-flight cap and a full-queue [`ShedPolicy`].
     /// `None` (the default) keeps the classic unbounded pool — submits
     /// never shed and every admission counter stays zero.
@@ -263,9 +283,10 @@ impl Default for PoolConfig {
     }
 }
 
-/// Priority class of a [`ServingRequest`]. Each shard queue keeps one lane
-/// per class and always dequeues the highest class first, so interactive
-/// work overtakes queued batch work; under
+/// Priority class of a [`ServingRequest`]. Each device queue keeps one lane
+/// per class and dequeues the highest class first (passing over only jobs
+/// whose matrix another worker is activating), so interactive work
+/// overtakes queued batch work; under
 /// [`ShedPolicy::DropLowestPriority`] pressure sheds the lowest class first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
@@ -305,7 +326,7 @@ impl std::fmt::Display for Priority {
     }
 }
 
-/// What a bounded shard queue does with an incoming request when it is full.
+/// What a shard at its queue bound does with an incoming request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShedPolicy {
     /// Shed the incoming request (classic tail drop). Queued work is never
@@ -313,9 +334,10 @@ pub enum ShedPolicy {
     /// order.
     #[default]
     RejectNewest,
-    /// Evict the newest queued request of the lowest class *strictly below*
-    /// the newcomer's to make room — the victim's ticket resolves to
-    /// [`ServingError::Shed`] with [`ShedReason::Evicted`]. When nothing
+    /// Evict the newest request queued for the same shard in the lowest
+    /// class *strictly below* the newcomer's to make room — the victim's
+    /// ticket resolves to [`ServingError::Shed`] with
+    /// [`ShedReason::Evicted`]. When nothing
     /// queued ranks below the newcomer, falls back to rejecting the
     /// newcomer.
     DropLowestPriority,
@@ -326,20 +348,22 @@ pub enum ShedPolicy {
 /// [module docs](self#admission-control--overload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
-    /// Maximum queued (admitted, not yet dequeued) requests per shard,
-    /// summed over the three priority lanes. `0` means unbounded — the
-    /// classic queue, with priority lanes and deadlines still honoured.
+    /// Maximum queued (admitted, not yet dequeued) requests homed on one
+    /// shard, summed over the three priority lanes of its device queue.
+    /// `0` means unbounded — the classic queue, with priority lanes and
+    /// deadlines still honoured.
     pub queue_capacity: usize,
     /// Pool-wide cap on in-flight requests (admitted and not yet resolved).
     /// `0` means uncapped.
     pub max_in_flight: usize,
-    /// What a full shard queue does with an incoming request.
+    /// What a shard at its queue bound does with an incoming request.
     pub shed_policy: ShedPolicy,
 }
 
 impl AdmissionConfig {
-    /// Admission control with per-shard queues bounded at `queue_capacity`,
-    /// no in-flight cap and the default [`ShedPolicy::RejectNewest`].
+    /// Admission control with each shard's queued jobs bounded at
+    /// `queue_capacity`, no in-flight cap and the default
+    /// [`ShedPolicy::RejectNewest`].
     pub fn bounded(queue_capacity: usize) -> Self {
         Self {
             queue_capacity,
@@ -363,7 +387,7 @@ impl AdmissionConfig {
 }
 
 impl Default for AdmissionConfig {
-    /// 1024-deep shard queues, no in-flight cap, reject-newest shedding.
+    /// 1024 queued jobs per shard, no in-flight cap, reject-newest shedding.
     fn default() -> Self {
         Self::bounded(1024)
     }
@@ -379,7 +403,7 @@ pub struct RoutingConfig {
     /// [`ShedReason::RoutingStageFull`] and backpressures blocking ones.
     /// `0` means unbounded.
     pub stage_capacity: usize,
-    /// Maximum queued same-fingerprint requests a shard worker coalesces
+    /// Maximum queued same-fingerprint requests a worker coalesces
     /// into one plan activation at dequeue. `1` (or `0`) disables
     /// coalescing while keeping the routing offload.
     pub max_batch: usize,
@@ -598,7 +622,7 @@ impl ServingRequest {
 /// The served result of one [`ServingRequest`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingResponse {
-    /// The selection the shard's engine made.
+    /// The selection the home shard's engine made.
     pub selection: Selection,
     /// The product vector, for [`Workload::Execute`] requests.
     pub result: Option<Vec<Scalar>>,
@@ -606,7 +630,7 @@ pub struct ServingResponse {
     /// replays charge no selection overhead, exactly like
     /// [`SeerEngine::execute`].
     pub total_time: Option<SimTime>,
-    /// Index of the shard that served the request.
+    /// Index of the request's home shard, whose engine served it.
     pub shard: usize,
 }
 
@@ -758,7 +782,8 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// The shard the request was routed to.
+    /// The home shard the request was routed to (`usize::MAX` when routing
+    /// is offloaded or the request was refused before routing).
     pub fn shard(&self) -> usize {
         self.shard
     }
@@ -1036,7 +1061,9 @@ impl LatencySnapshot {
     }
 }
 
-/// Snapshot of one shard's serving counters.
+/// Snapshot of one shard's serving counters. A shard is a home engine, a
+/// cache partition of its device: these count the requests *homed* on it,
+/// whichever of the device's workers served them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard index.
@@ -1061,7 +1088,7 @@ pub struct ShardStats {
     /// dequeue (never executed), resolved to
     /// [`ServingError::DeadlineExceeded`].
     pub expired: u64,
-    /// Admitted requests evicted from this shard's queue by a
+    /// Admitted requests of this shard evicted from its device queue by a
     /// higher-priority arrival under [`ShedPolicy::DropLowestPriority`];
     /// resolved to [`ServingError::Shed`].
     pub shed: u64,
@@ -1457,49 +1484,104 @@ struct Job {
     fingerprint: u64,
 }
 
-/// One shard's queue: three priority lanes behind one mutex, a bound
-/// enforced by the submit side, and two condvars — `available` wakes the
-/// worker on push/close, `space` wakes backpressured submitters on
-/// pop/evict/close. An admission-free pool never hits the bound.
-struct ShardQueue {
+/// One device's work queue, shared by every worker of the device's shard
+/// group: three priority lanes behind one mutex, a per-shard bound enforced
+/// by the submit side, and two condvars — `available` wakes workers on
+/// push, close, or the release of an activation another worker skipped;
+/// `space` wakes backpressured submitters on pop/evict/close. An
+/// admission-free pool never hits the bound.
+///
+/// Each queued job keeps its home shard, and any idle worker of the device
+/// serves it on that home's engine. The one constraint is the activation
+/// mark ([`QueueState::busy`]): at most one worker activates a given
+/// fingerprint at a time, so per-fingerprint activations stay in FIFO order
+/// and the first one is the only cache miss, exactly as in a sequential
+/// replay. Kernels of the same matrix still run concurrently: the mark is
+/// released as soon as the activation returns.
+struct DeviceQueue {
     state: Mutex<QueueState>,
     available: Condvar,
     space: Condvar,
+    /// Index of the group's first shard; the group's shards are contiguous,
+    /// so a job's home shard `s` is slot `s - first_shard`.
+    first_shard: usize,
 }
 
 struct QueueState {
-    /// One FIFO lane per [`Priority`], indexed by [`Priority::lane`]; the
-    /// worker always drains the lowest-index non-empty lane first.
+    /// One FIFO lane per [`Priority`], indexed by [`Priority::lane`], holding
+    /// the jobs of every shard of the device; workers drain the
+    /// lowest-index lane with a job whose fingerprint is not being activated.
     lanes: [VecDeque<Job>; 3],
-    /// Closed by shutdown or this shard's device retirement: pushes are
-    /// refused and the worker exits once the lanes are empty.
+    /// Queued jobs per home shard, indexed by slot: the admission bound is
+    /// per shard.
+    queued: Vec<usize>,
+    /// One slot per worker: the fingerprint that worker is activating, if
+    /// any. Preallocated at spawn, so marking never allocates.
+    busy: Vec<Option<ActivationMark>>,
+    /// Closed by shutdown or this device's retirement: pushes are refused
+    /// and the workers exit once the lanes are empty.
     closed: bool,
     /// Submitters currently parked on `space`; workers skip the notify
     /// syscall when nobody waits.
     space_waiters: usize,
 }
 
+/// A fingerprint one worker is activating, and whether another worker
+/// passed over a job for it — only then does the release wake anyone.
+#[derive(Debug, Clone, Copy)]
+struct ActivationMark {
+    fingerprint: u64,
+    skipped: bool,
+}
+
 impl QueueState {
-    fn len(&self) -> usize {
-        self.lanes.iter().map(VecDeque::len).sum()
+    /// The first job, by priority lane then FIFO, whose fingerprint no
+    /// worker is activating, as `(lane, index)`. Every job passed over marks
+    /// the blocking activation as skipped, so its release wakes the parked
+    /// workers.
+    fn next_ready(&mut self) -> Option<(usize, usize)> {
+        let Self { lanes, busy, .. } = self;
+        for (lane_index, lane) in lanes.iter().enumerate() {
+            for (index, job) in lane.iter().enumerate() {
+                match busy
+                    .iter_mut()
+                    .flatten()
+                    .find(|mark| mark.fingerprint == job.fingerprint)
+                {
+                    Some(mark) => mark.skipped = true,
+                    None => return Some((lane_index, index)),
+                }
+            }
+        }
+        None
     }
 }
 
-impl ShardQueue {
-    fn new() -> Arc<Self> {
+impl DeviceQueue {
+    /// A queue for the `shards` contiguous shards starting at `first_shard`,
+    /// one worker per shard.
+    fn new(first_shard: usize, shards: usize) -> Arc<Self> {
         Arc::new(Self {
             state: Mutex::new(QueueState {
                 lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+                queued: vec![0; shards],
+                busy: vec![None; shards],
                 closed: false,
                 space_waiters: 0,
             }),
             available: Condvar::new(),
             space: Condvar::new(),
+            first_shard,
         })
     }
 
-    /// Marks the queue closed and wakes the worker (to drain and exit) and
-    /// every backpressured submitter (to re-route or shed). Idempotent.
+    /// The slot of home shard `shard` in this queue's per-shard tables.
+    fn slot(&self, shard: usize) -> usize {
+        shard - self.first_shard
+    }
+
+    /// Marks the queue closed and wakes every worker (to drain and exit)
+    /// and every backpressured submitter (to re-route or shed). Idempotent.
     fn close(&self) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.closed = true;
@@ -1508,34 +1590,63 @@ impl ShardQueue {
         self.space.notify_all();
     }
 
-    /// Worker-side blocking pop: fills `run` with the highest-priority
-    /// queued job plus — when `max_batch > 1` — up to `max_batch - 1`
-    /// *immediately following* jobs from the same lane that are
-    /// batch-compatible with it ([`batchable`]: same sparsity fingerprint,
-    /// workload kind, iterations, policy and matrix content). Returns
-    /// `false` once the queue is closed *and* empty (close-then-drain
-    /// semantics). With `max_batch <= 1` every run has length one.
+    /// Worker-side blocking pop for worker `worker`: fills `run` with the
+    /// first ready job (highest priority lane, FIFO, fingerprint not being
+    /// activated — see [`QueueState::next_ready`]) plus — when `max_batch >
+    /// 1` — up to `max_batch - 1` *following* jobs of the same lane and home
+    /// shard that are batch-compatible with it ([`batchable`]: same sparsity
+    /// fingerprint, workload kind, iterations, policy and matrix content).
+    /// Jobs of other shards are stepped over; the first same-shard job that
+    /// is not batchable ends the run, as it would in a queue of that shard
+    /// alone. The run's fingerprint is marked busy for `worker` until
+    /// [`DeviceQueue::release`]. Returns `false` once the queue is closed
+    /// *and* empty (close-then-drain semantics).
     ///
     /// Batches form only here, at dequeue: nothing queued is ever committed
     /// to a run, so an eviction or a deadline expiry of a queued
     /// would-be-batchmate needs no special casing.
-    fn pop_run(&self, run: &mut Vec<Job>, max_batch: usize) -> bool {
+    fn pop_run(&self, worker: usize, run: &mut Vec<Job>, max_batch: usize) -> bool {
         run.clear();
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(lane) = state.lanes.iter_mut().find(|lane| !lane.is_empty()) {
-                run.push(lane.pop_front().expect("lane is non-empty"));
-                while run.len() < max_batch
-                    && lane.front().is_some_and(|next| batchable(&run[0], next))
-                {
-                    run.push(lane.pop_front().expect("lane is non-empty"));
+            if let Some((lane, index)) = state.next_ready() {
+                let QueueState {
+                    lanes,
+                    queued,
+                    busy,
+                    space_waiters,
+                    ..
+                } = &mut *state;
+                let lane = &mut lanes[lane];
+                let head = lane.remove(index).expect("ready index is in the lane");
+                let home = head.responder.shard;
+                busy[worker] = Some(ActivationMark {
+                    fingerprint: head.fingerprint,
+                    skipped: false,
+                });
+                run.push(head);
+                // Bound the walk past other shards' jobs so a long backlog
+                // never turns one dequeue into a scan of the whole lane.
+                let mut steps = max_batch.saturating_mul(queued.len());
+                let mut next = index;
+                while run.len() < max_batch && next < lane.len() && steps > 0 {
+                    steps -= 1;
+                    let candidate = &lane[next];
+                    if candidate.responder.shard != home {
+                        next += 1;
+                    } else if batchable(&run[0], candidate) {
+                        run.push(lane.remove(next).expect("index is in the lane"));
+                    } else {
+                        break;
+                    }
                 }
-                if state.space_waiters > 0 {
+                queued[self.slot(home)] -= run.len();
+                if *space_waiters > 0 {
                     self.space.notify_all();
                 }
                 return true;
             }
-            if state.closed {
+            if state.closed && state.lanes.iter().all(VecDeque::is_empty) {
                 return false;
             }
             state = self
@@ -1544,9 +1655,21 @@ impl ShardQueue {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
+
+    /// Clears `worker`'s activation mark, if it holds one. Wakes the parked
+    /// workers only when one of them skipped a job for that fingerprint;
+    /// the common release touches no condvar.
+    fn release(&self, worker: usize) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let skipped = state.busy[worker].take().is_some_and(|mark| mark.skipped);
+        drop(state);
+        if skipped {
+            self.available.notify_all();
+        }
+    }
 }
 
-/// Whether two adjacent queued jobs may share one plan activation: same
+/// Whether two queued jobs of one shard may share one plan activation: same
 /// workload kind (select-only with select-only, execute with execute —
 /// never the chaos workloads), same routing key, same workload length and
 /// policy (the selection-plan cache key), and the same matrix *content*
@@ -1572,7 +1695,7 @@ fn batchable(head: &Job, next: &Job) -> bool {
 /// The bounded submit-side stage of a routing-offloaded pool: submitters
 /// push admitted jobs here in O(1), and the dedicated routing worker pops
 /// them, stamps their fingerprint, resolves placement and forwards them to
-/// their home shards. Same condvar discipline as [`ShardQueue`]:
+/// their home shards. Same condvar discipline as [`DeviceQueue`]:
 /// `available` wakes the routing worker, `space` wakes backpressured
 /// submitters.
 struct RoutingStage {
@@ -1734,7 +1857,7 @@ impl RoutingShared {
     }
 }
 
-/// What one push attempt against a shard queue produced. `Full` and
+/// What one push attempt against a device queue produced. `Full` and
 /// `Closed` hand the job back so the admission loop can wait, re-route or
 /// shed it without consuming the request.
 enum PushAttempt {
@@ -1825,15 +1948,19 @@ struct ShardCounters {
     migrated: AtomicU64,
 }
 
+/// One shard: a home engine (a cache partition of its device) and its
+/// counters, plus one of the device's workers.
 struct Shard {
     engine: Arc<SeerEngine>,
     /// The fleet device this shard is pinned to: device-affinity routing
     /// only sends it requests whose selection placed the workload here.
     device: DeviceId,
-    /// The shard's priority-lane queue. Closed (not dropped) by shutdown or
-    /// this shard's device retirement; the worker drains the backlog and
-    /// exits.
-    queue: Arc<ShardQueue>,
+    /// The device's queue, shared by every shard of the group. Closed (not
+    /// dropped) by shutdown or the device's retirement; the workers drain
+    /// the backlog and exit.
+    queue: Arc<DeviceQueue>,
+    /// One of the device's workers. It serves any shard of the group, so
+    /// it is attached here only to be joined.
     worker: Option<JoinHandle<()>>,
     submitted: Arc<AtomicU64>,
     counters: Arc<ShardCounters>,
@@ -1960,12 +2087,7 @@ impl ServingPool {
         {
             let mut inner = pool.inner.write().unwrap_or_else(PoisonError::into_inner);
             for device in fleet.ids() {
-                for _ in 0..pool.config.shards {
-                    let index = inner.shards.len();
-                    let shard = pool.spawn_shard(index, device);
-                    inner.device_groups[device.index()].push(index);
-                    inner.shards.push(shard);
-                }
+                pool.spawn_group(&mut inner, device);
             }
         }
         if !fleet.is_single_device() {
@@ -2012,35 +2134,43 @@ impl ServingPool {
         engine
     }
 
-    /// Builds one shard pinned to `device` and starts its worker thread.
-    fn spawn_shard(&self, index: usize, device: DeviceId) -> Shard {
-        let engine = self.build_engine();
-        let queue = ShardQueue::new();
-        let counters = Arc::new(ShardCounters::default());
-        let worker = {
+    /// Appends [`PoolConfig::shards`] shards pinned to `device` — each a
+    /// home engine with its counters — publishes them as the device's
+    /// group, and starts one worker per shard on the group's shared queue.
+    fn spawn_group(&self, inner: &mut PoolInner, device: DeviceId) {
+        let first = inner.shards.len();
+        let queue = DeviceQueue::new(first, self.config.shards);
+        let homes: Arc<[Home]> = (0..self.config.shards)
+            .map(|_| Home {
+                engine: self.build_engine(),
+                counters: Arc::new(ShardCounters::default()),
+            })
+            .collect();
+        for (worker, home) in homes.iter().enumerate() {
+            let index = first + worker;
             let ctx = WorkerContext {
-                shard: index,
+                worker,
                 device,
-                engine: Arc::clone(&engine),
+                homes: Arc::clone(&homes),
                 queue: Arc::clone(&queue),
-                counters: Arc::clone(&counters),
                 progress: Arc::clone(&self.progress),
                 front_door: Arc::clone(&self.front_door),
                 latency: Arc::clone(&self.latency),
                 routing: Arc::clone(&self.routing),
             };
-            std::thread::Builder::new()
+            let handle = std::thread::Builder::new()
                 .name(format!("seer-shard-{index}"))
                 .spawn(move || worker_loop(&ctx))
-                .expect("spawn serving worker")
-        };
-        Shard {
-            engine,
-            device,
-            queue,
-            worker: Some(worker),
-            submitted: Arc::new(AtomicU64::new(0)),
-            counters,
+                .expect("spawn serving worker");
+            inner.device_groups[device.index()].push(index);
+            inner.shards.push(Shard {
+                engine: Arc::clone(&home.engine),
+                device,
+                queue: Arc::clone(&queue),
+                worker: Some(handle),
+                submitted: Arc::new(AtomicU64::new(0)),
+                counters: Arc::clone(&home.counters),
+            });
         }
     }
 
@@ -2091,12 +2221,7 @@ impl ServingPool {
         while inner.device_groups.len() <= device.index() {
             inner.device_groups.push(Vec::new());
         }
-        for _ in 0..self.config.shards {
-            let index = inner.shards.len();
-            let shard = self.spawn_shard(index, device);
-            inner.device_groups[device.index()].push(index);
-            inner.shards.push(shard);
-        }
+        self.spawn_group(&mut inner, device);
     }
 
     /// Retires a device from the running pool. The fleet marks it retired
@@ -2392,7 +2517,7 @@ impl ServingPool {
                         return self.abandon(job, ShedReason::QueueFull { shard });
                     }
                     self.note_backpressure(&mut waited);
-                    if !wait_for_space(&queue, capacity, wait_deadline) {
+                    if !wait_for_space(&queue, shard, capacity, wait_deadline) {
                         return self.abandon(job, ShedReason::BackpressureTimeout);
                     }
                     // Space freed (or the queue closed): re-route and retry.
@@ -2488,13 +2613,15 @@ impl ServingPool {
     }
 
     /// Sheds a job that had already reserved its in-flight slot but never
-    /// reached a queue: releases the slot, defuses the responder (the
-    /// ticket was never handed out, so nothing must resolve it to
-    /// `WorkerDied`) and counts the refusal.
+    /// reached a queue: releases the slot (waking a submitter parked on the
+    /// in-flight cap), defuses the responder (the ticket was never handed
+    /// out, so nothing must resolve it to `WorkerDied`) and counts the
+    /// refusal.
     fn abandon(&self, mut job: Job, reason: ShedReason) -> SubmitOutcome {
         job.responder.cell.take();
         drop(job);
         self.front_door.in_flight.fetch_sub(1, Ordering::SeqCst);
+        notify_progress(&self.progress);
         self.refuse(reason)
     }
 
@@ -2525,7 +2652,7 @@ impl ServingPool {
         }
     }
 
-    /// Closes the front door and every shard queue without consuming the
+    /// Closes the front door and every device queue without consuming the
     /// pool: new submits shed with [`ShedReason::PoolClosed`] / resolve to
     /// [`ServingError::PoolClosed`], already-admitted requests still drain,
     /// and workers exit after their backlog. On a routing-offloaded pool
@@ -2681,11 +2808,11 @@ impl ServingPool {
     /// run concurrently with a retire-drain — whichever side takes a worker
     /// handle first joins it.
     ///
-    /// The routing stage winds down *first*, while the shard queues are
+    /// The routing stage winds down *first*, while the device queues are
     /// still open: the routing worker drains every in-stage job into its
     /// home shard (so a graceful [`ServingPool::shutdown`] still serves
-    /// them), and only then do the shard queues close. After a
-    /// [`ServingPool::begin_shutdown`] the shard queues are already closed
+    /// them), and only then do the device queues close. After a
+    /// [`ServingPool::begin_shutdown`] the device queues are already closed
     /// and the drained jobs resolve typed [`ServingError::PoolClosed`]
     /// instead.
     fn stop_workers(&mut self) {
@@ -2744,7 +2871,7 @@ enum Placement {
     Full {
         job: Job,
         shard: usize,
-        queue: Arc<ShardQueue>,
+        queue: Arc<DeviceQueue>,
     },
     Closed(Job),
 }
@@ -2790,7 +2917,7 @@ fn route<'a>(
 }
 
 /// One placement pass, shared by the inline admission loop and the routing
-/// worker: [`route`], push onto the home shard's queue under the same
+/// worker: [`route`], push onto the home shard's device queue under the same
 /// `inner` read guard, and — once every pool lock is released — resolve a
 /// victim the push evicted, so its waiter wakes directly.
 fn place(
@@ -2822,11 +2949,12 @@ fn place(
     }
 }
 
-/// One push attempt against a shard's queue, under the caller's `inner`
-/// read guard. Refreshes the job's admission timestamp so queue-wait
-/// samples measure time *in the queue*, not time spent backpressured
-/// before it. Returns the job on a full or closed queue so the admission
-/// loop can wait, re-route or shed it.
+/// One push attempt for home shard `shard` against its device's queue,
+/// under the caller's `inner` read guard. The bound counts only the jobs
+/// homed on that shard. Refreshes the job's admission timestamp so
+/// queue-wait samples measure time *in the queue*, not time spent
+/// backpressured before it. Returns the job on a full or closed queue so
+/// the admission loop can wait, re-route or shed it.
 fn push_job(
     shard: &Shard,
     shard_index: usize,
@@ -2835,61 +2963,69 @@ fn push_job(
     policy: ShedPolicy,
 ) -> PushAttempt {
     job.responder.shard = shard_index;
-    let mut state = shard
-        .queue
-        .state
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let queue = &shard.queue;
+    let slot = queue.slot(shard_index);
+    let mut state = queue.state.lock().unwrap_or_else(PoisonError::into_inner);
     if state.closed {
         drop(state);
         return PushAttempt::Closed(job);
     }
-    if capacity > 0 && state.len() >= capacity {
+    let mut victim = None;
+    if capacity > 0 && state.queued[slot] >= capacity {
         let incoming = job.request.priority.lane();
-        // Drop-lowest-priority: evict the *newest* job of the lowest class
-        // strictly below the newcomer — the request that has waited least
-        // in the most sheddable lane.
-        let victim = match policy {
-            ShedPolicy::DropLowestPriority => state
+        // Drop-lowest-priority: evict the *newest* job of this shard in
+        // the lowest class strictly below the newcomer — the request that
+        // has waited least in the most sheddable lane.
+        if policy == ShedPolicy::DropLowestPriority {
+            victim = state
                 .lanes
                 .iter_mut()
-                .enumerate()
+                .skip(incoming + 1)
                 .rev()
-                .find(|(lane, queue)| *lane > incoming && !queue.is_empty())
-                .and_then(|(_, queue)| queue.pop_back()),
-            ShedPolicy::RejectNewest => None,
-        };
-        let Some(victim) = victim else {
+                .find_map(|lane| {
+                    let index = lane
+                        .iter()
+                        .rposition(|queued| queued.responder.shard == shard_index)?;
+                    lane.remove(index)
+                });
+        }
+        if victim.is_none() {
             drop(state);
             return PushAttempt::Full(job);
-        };
-        job.admitted = Instant::now();
-        state.lanes[incoming].push_back(job);
-        drop(state);
-        shard.submitted.fetch_add(1, Ordering::SeqCst);
-        shard.queue.available.notify_one();
-        return PushAttempt::QueuedEvicting(victim);
+        }
+    } else {
+        state.queued[slot] += 1;
     }
     job.admitted = Instant::now();
     let lane = job.request.priority.lane();
     state.lanes[lane].push_back(job);
     drop(state);
     shard.submitted.fetch_add(1, Ordering::SeqCst);
-    shard.queue.available.notify_one();
-    PushAttempt::Queued
+    queue.available.notify_one();
+    match victim {
+        Some(victim) => PushAttempt::QueuedEvicting(victim),
+        None => PushAttempt::Queued,
+    }
 }
 
-/// Parks a backpressured submitter until the queue has room, closes, or
-/// the deadline passes. Returns `false` only on timeout; `true` means
-/// "retry the admission loop" (room freed *or* the queue closed — the
-/// loop re-routes either way). Standard condvar discipline: the condition
-/// is re-checked under the queue mutex, so no wake is ever missed.
-fn wait_for_space(queue: &ShardQueue, capacity: usize, wait_deadline: Option<Instant>) -> bool {
+/// Parks a backpressured submitter until home shard `shard` has room in
+/// its device queue, the queue closes, or the deadline passes. Returns
+/// `false` only on timeout; `true` means "retry the admission loop" (room
+/// freed *or* the queue closed — the loop re-routes either way). Standard
+/// condvar discipline: the condition is re-checked under the queue mutex,
+/// so no wake is ever missed.
+fn wait_for_space(
+    queue: &DeviceQueue,
+    shard: usize,
+    capacity: usize,
+    wait_deadline: Option<Instant>,
+) -> bool {
+    let slot = queue.slot(shard);
     let mut state = queue.state.lock().unwrap_or_else(PoisonError::into_inner);
     state.space_waiters += 1;
     let mut timed_out = false;
     loop {
-        if state.closed || state.len() < capacity {
+        if state.closed || state.queued[slot] < capacity {
             break;
         }
         match wait_deadline {
@@ -2946,7 +3082,7 @@ fn routing_worker_loop(ctx: &RoutingCtx) {
 /// Routes one staged job to its home shard, retrying across membership
 /// changes exactly like the inline admission loop. Never sheds on a full
 /// queue — the stage *is* the bounded front; the worker absorbs shard
-/// backpressure so balance stays exact. A closed shard queue means either
+/// backpressure so balance stays exact. A closed device queue means either
 /// a retire (re-route to survivors: the group was unpublished in the same
 /// critical section that closed its queues) or a shutdown (resolve the
 /// ticket typed, counted in [`RoutingPoolStats::stage_closed`]).
@@ -2957,20 +3093,23 @@ fn forward(ctx: &RoutingCtx, mut job: Job) {
                 // `push_job` already incremented the shard's `submitted`, so
                 // decrementing the stage gauge *after* it keeps the pool's
                 // pending count from transiently dropping to zero while the
-                // job changes hands.
+                // job changes hands. The job may already be served by now,
+                // its completion seen by a drain that still counted it in
+                // the stage: that drain waits for this decrement, so wake it.
                 ctx.routing.routed_async.fetch_add(1, Ordering::SeqCst);
                 ctx.stage.in_stage.fetch_sub(1, Ordering::SeqCst);
+                notify_progress(&ctx.progress);
                 return;
             }
             Placement::Full {
                 job: returned,
+                shard,
                 queue,
-                ..
             } => {
                 job = returned;
                 // Block until the shard frees a slot or its queue closes;
                 // either way the loop re-routes and retries.
-                wait_for_space(&queue, ctx.front_door.queue_capacity(), None);
+                wait_for_space(&queue, shard, ctx.front_door.queue_capacity(), None);
             }
             Placement::Closed(returned) => {
                 job = returned;
@@ -2993,37 +3132,78 @@ fn forward(ctx: &RoutingCtx, mut job: Job) {
     }
 }
 
-/// Everything one shard worker thread needs, bundled at spawn time.
-struct WorkerContext {
-    shard: usize,
-    device: DeviceId,
+/// One home shard as its device's workers see it: the engine that serves
+/// the shard's jobs and the counters they resolve into.
+struct Home {
     engine: Arc<SeerEngine>,
-    queue: Arc<ShardQueue>,
     counters: Arc<ShardCounters>,
+}
+
+/// Everything one worker thread needs, bundled at spawn time. A worker
+/// belongs to a device, not to a shard: it serves any job of its device's
+/// queue on the job's home.
+struct WorkerContext {
+    /// This worker's slot in the queue's activation marks.
+    worker: usize,
+    device: DeviceId,
+    /// The device's shards, indexed by [`DeviceQueue::slot`].
+    homes: Arc<[Home]>,
+    queue: Arc<DeviceQueue>,
     progress: Arc<Progress>,
     front_door: Arc<FrontDoor>,
     latency: Arc<LatencyRecorder>,
     routing: Arc<RoutingShared>,
 }
 
-/// One shard's serve loop: every dequeue — a single job, or a coalesced run
-/// of up to [`RoutingConfig::max_batch`] batch-compatible jobs — is served
-/// by [`serve_run`]. Only runs of two or more count as batches.
+/// One worker's serve loop: every dequeue — a single job, or a coalesced
+/// run of up to [`RoutingConfig::max_batch`] batch-compatible jobs — is
+/// served by [`serve_run`] on the run's home shard. Only runs of two or
+/// more count as batches.
 ///
 /// The worker owns one [`EngineWorkspace`] for its whole lifetime, so the
 /// execute hot path reuses the same output and scratch buffers across every
-/// request the shard ever serves.
+/// request the worker ever serves, whichever shard it is homed on.
 fn worker_loop(ctx: &WorkerContext) {
     let mut workspace = EngineWorkspace::new();
     let mut run: Vec<Job> = Vec::new();
-    while ctx.queue.pop_run(&mut run, ctx.routing.max_batch) {
+    while ctx
+        .queue
+        .pop_run(ctx.worker, &mut run, ctx.routing.max_batch)
+    {
         if run.len() > 1 {
             ctx.routing.batch_activations.fetch_add(1, Ordering::SeqCst);
             ctx.routing
                 .batched_requests
                 .fetch_add(run.len() as u64, Ordering::SeqCst);
         }
-        serve_run(ctx, &mut run, &mut workspace);
+        let shard = run[0].responder.shard;
+        let home = &ctx.homes[ctx.queue.slot(shard)];
+        let mut mark = Mark {
+            queue: &ctx.queue,
+            worker: ctx.worker,
+            held: true,
+        };
+        serve_run(ctx, shard, home, &mut mark, &mut run, &mut workspace);
+        mark.release();
+    }
+}
+
+/// The activation mark a worker holds from dequeue until its run's first
+/// activation returns (or the run ends without one). A dead-device retry
+/// re-activates without it: a device death already breaks the sequential
+/// replay's miss-then-hit shape, so the retry is not held to it.
+struct Mark<'a> {
+    queue: &'a DeviceQueue,
+    worker: usize,
+    held: bool,
+}
+
+impl Mark<'_> {
+    /// Releases the mark once; later calls are free.
+    fn release(&mut self) {
+        if std::mem::take(&mut self.held) {
+            self.queue.release(self.worker);
+        }
     }
 }
 
@@ -3054,15 +3234,22 @@ enum Failure {
     Panicked,
 }
 
-/// Serves one dequeued run — a single request is a run of one — through
-/// the steps of the [module docs](self#the-serve-path): per job, the
-/// deadline check at dequeue (counted [`ShardStats::expired`]), lazy
-/// activation of the run's shared [`RunPlan`] by its first live job, and
-/// execution with the bounded dead-device retry ([`retry_once`]). A job
-/// served while this worker's pinned device is no longer live (drained
-/// backlog after a retire, or a retried placement) counts as
+/// Serves one dequeued run — a single request is a run of one — on its home
+/// shard `shard`, through the steps of the [module docs](self#the-serve-path):
+/// per job, the deadline check at dequeue (counted [`ShardStats::expired`]),
+/// lazy activation of the run's shared [`RunPlan`] by its first live job
+/// (which releases `mark`), and execution with the bounded dead-device retry
+/// ([`retry_once`]). A job served while the device is no longer live
+/// (drained backlog after a retire, or a retried placement) counts as
 /// [`ShardStats::migrated`].
-fn serve_run(ctx: &WorkerContext, run: &mut Vec<Job>, workspace: &mut EngineWorkspace) {
+fn serve_run(
+    ctx: &WorkerContext,
+    shard: usize,
+    home: &Home,
+    mark: &mut Mark<'_>,
+    run: &mut Vec<Job>,
+    workspace: &mut EngineWorkspace,
+) {
     let mut plan: Option<RunPlan> = None;
     for job in run.drain(..) {
         let Job {
@@ -3074,25 +3261,25 @@ fn serve_run(ctx: &WorkerContext, run: &mut Vec<Job>, workspace: &mut EngineWork
         let lane = request.priority.lane();
         ctx.latency.queue_wait[lane].record(admitted.elapsed());
         if deadline_expired(&request) {
-            responder.resolve(Err(ServingError::DeadlineExceeded { shard: ctx.shard }));
-            ctx.counters.expired.fetch_add(1, Ordering::SeqCst);
-            finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
+            responder.resolve(Err(ServingError::DeadlineExceeded { shard }));
+            home.counters.expired.fetch_add(1, Ordering::SeqCst);
+            finish_job(&home.counters, &ctx.progress, &ctx.front_door);
             continue;
         }
-        let resolution = retry_once(ctx, &request, &mut plan, workspace);
+        let resolution = retry_once(shard, home, mark, &request, &mut plan, workspace);
         let served = resolution.is_ok();
-        let migrated = served && !ctx.engine.fleet().is_live(ctx.device);
+        let migrated = served && !home.engine.fleet().is_live(ctx.device);
         // Resolve the ticket before counting the request completed: a
         // drain woken by this completion must find the outcome in place.
         responder.resolve(resolution);
         if served {
-            ctx.counters.served.fetch_add(1, Ordering::SeqCst);
+            home.counters.served.fetch_add(1, Ordering::SeqCst);
             ctx.latency.end_to_end[lane].record(admitted.elapsed());
         }
         if migrated {
-            ctx.counters.migrated.fetch_add(1, Ordering::SeqCst);
+            home.counters.migrated.fetch_add(1, Ordering::SeqCst);
         }
-        finish_job(&ctx.counters, &ctx.progress, &ctx.front_door);
+        finish_job(&home.counters, &ctx.progress, &ctx.front_door);
     }
 }
 
@@ -3103,28 +3290,30 @@ fn serve_run(ctx: &WorkerContext, run: &mut Vec<Job>, workspace: &mut EngineWork
 /// second dead device means the fleet is flapping faster than selections,
 /// and the caller should see that as [`ServingError::DeviceFailed`].
 fn retry_once(
-    ctx: &WorkerContext,
+    shard: usize,
+    home: &Home,
+    mark: &mut Mark<'_>,
     request: &ServingRequest,
     plan: &mut Option<RunPlan>,
     workspace: &mut EngineWorkspace,
 ) -> Result<ServingResponse, ServingError> {
     let mut retrying = false;
     loop {
-        match try_serve(ctx, request, plan, workspace) {
+        match try_serve(shard, home, mark, request, plan, workspace) {
             Ok(response) => return Ok(response),
             Err(Failure::Panicked) => {
-                ctx.counters.failed.fetch_add(1, Ordering::SeqCst);
-                return Err(ServingError::WorkerDied { shard: ctx.shard });
+                home.counters.failed.fetch_add(1, Ordering::SeqCst);
+                return Err(ServingError::WorkerDied { shard });
             }
             Err(Failure::Device(death)) => {
-                ctx.counters.device_failures.fetch_add(1, Ordering::SeqCst);
+                home.counters.device_failures.fetch_add(1, Ordering::SeqCst);
                 *plan = None;
                 if retrying {
                     return Err(ServingError::DeviceFailed {
                         device: death.device,
                     });
                 }
-                ctx.counters.retried.fetch_add(1, Ordering::SeqCst);
+                home.counters.retried.fetch_add(1, Ordering::SeqCst);
                 retrying = true;
             }
         }
@@ -3132,17 +3321,23 @@ fn retry_once(
 }
 
 /// One unwind-isolated serve attempt: activate the run's plan if it has
-/// none, then answer the request from it. The only allocation left on a
-/// warm execute is the response's owned copy of the product.
+/// none — releasing the activation mark as soon as the activation returns,
+/// before any kernel runs — then answer the request from it. The only
+/// allocation left on a warm execute is the response's owned copy of the
+/// product.
 fn try_serve(
-    ctx: &WorkerContext,
+    shard: usize,
+    home: &Home,
+    mark: &mut Mark<'_>,
     request: &ServingRequest,
     plan: &mut Option<RunPlan>,
     workspace: &mut EngineWorkspace,
 ) -> Result<ServingResponse, Failure> {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if plan.is_none() {
-            *plan = Some(activate(ctx, request)?);
+            let activated = activate(&home.engine, request);
+            mark.release();
+            *plan = Some(activated?);
         }
         let (selection, result, total_time) = match plan.as_mut().expect("activated above") {
             RunPlan::Select(selection) => (*selection, None, None),
@@ -3151,7 +3346,7 @@ fn try_serve(
                     unreachable!("execute runs only contain execute workloads")
                 };
                 let first = !std::mem::replace(billed, true);
-                let (selection, total_time) = ctx.engine.try_execute_activated_into(
+                let (selection, total_time) = home.engine.try_execute_activated_into(
                     activation,
                     &request.matrix,
                     x,
@@ -3170,24 +3365,25 @@ fn try_serve(
             selection,
             result,
             total_time,
-            shard: ctx.shard,
+            shard,
         })
     }));
+    // A panicking activation never reached the release above.
+    mark.release();
     match outcome {
         Ok(response) => response.map_err(Failure::Device),
         Err(_) => Err(Failure::Panicked),
     }
 }
 
-/// Resolves a run's shared plan: one selection resolve for a select-only
-/// run, one selection resolve plus plan pin for an execute run. The
-/// test-only chaos workloads act here: one panics, the other blocks until
-/// its gate opens and then serves like a select.
-fn activate(ctx: &WorkerContext, request: &ServingRequest) -> Result<RunPlan, DeviceFailed> {
+/// Resolves a run's shared plan on its home engine: one selection resolve
+/// for a select-only run, one selection resolve plus plan pin for an
+/// execute run. The test-only chaos workloads act here: one panics, the
+/// other blocks until its gate opens and then serves like a select.
+fn activate(engine: &SeerEngine, request: &ServingRequest) -> Result<RunPlan, DeviceFailed> {
     match &request.workload {
         Workload::Execute { .. } => {
-            return ctx
-                .engine
+            return engine
                 .activate_plan(&request.matrix, request.iterations, request.policy)
                 .map(|activation| RunPlan::Execute {
                     activation,
@@ -3206,7 +3402,7 @@ fn activate(ctx: &WorkerContext, request: &ServingRequest) -> Result<RunPlan, De
             }
         }
     }
-    Ok(RunPlan::Select(ctx.engine.select_with_policy(
+    Ok(RunPlan::Select(engine.select_with_policy(
         &request.matrix,
         request.iterations,
         request.policy,
@@ -3259,6 +3455,7 @@ mod tests {
     use super::*;
     use crate::training::TrainingConfig;
     use seer_sparse::collection::{generate, CollectionConfig, DatasetEntry};
+    use seer_sparse::SplitMix64;
 
     fn pool_and_corpus(shards: usize) -> (ServingPool, SeerEngine, Vec<DatasetEntry>) {
         let entries = generate(&CollectionConfig::tiny());
@@ -5018,5 +5215,270 @@ mod tests {
         assert_eq!(stats.mean_batch_size(), 4.0);
         stats.batch_activations = 0;
         assert_eq!(stats.mean_batch_size(), 0.0);
+    }
+
+    /// [`Ticket::wait`] under a 30 s bound: an unresolved ticket fails the
+    /// test instead of hanging it.
+    fn wait_bounded(mut ticket: Ticket) -> Result<ServingResponse, ServingError> {
+        if ticket.wait_timeout(Duration::from_secs(30))?.is_none() {
+            panic!("ticket unresolved after 30 s: the serving pool hung");
+        }
+        ticket.wait()
+    }
+
+    #[test]
+    fn an_idle_worker_serves_a_parked_shards_other_matrices() {
+        // Head-of-line freedom: with the home worker of shard `home` parked
+        // in the activation of matrix A, the device's other worker serves B
+        // — homed on the same shard — on that shard's engine.
+        let (pool, _engine, entries) = pool_and_corpus(2);
+        let a = Arc::new(entries[0].matrix.clone());
+        let home = pool.shard_for(&a);
+        let b = entries
+            .iter()
+            .map(|entry| Arc::new(entry.matrix.clone()))
+            .find(|m| {
+                pool.shard_for(m) == home && m.sparsity_fingerprint() != a.sparsity_fingerprint()
+            })
+            .expect("a second matrix homed on the same shard");
+        let (gate_request, gate) = gate_request(Arc::clone(&a));
+        let gated = pool.submit(gate_request);
+        wait_for_dequeues(&pool, Priority::Interactive, 1);
+        let mut other = pool.submit(ServingRequest::select(Arc::clone(&b), 19));
+        let served = other
+            .wait_timeout(Duration::from_secs(10))
+            .map(|response| response.cloned());
+        let gate_still_closed = !gated.is_done();
+        // Open the gate before asserting: a failed assertion must not leave
+        // the pool's drop joining a parked worker.
+        open(&gate);
+        let response = served
+            .expect("healthy worker")
+            .expect("B must not queue behind the parked activation of A");
+        assert!(gate_still_closed, "B was served while A's gate was closed");
+        assert_eq!(other.shard(), home);
+        assert_eq!(response.shard, home);
+        assert!(wait_bounded(gated).is_ok());
+        let stats = pool.shutdown();
+        assert_eq!(stats.shards[home].served, 2);
+        assert_eq!(stats.shards[home].engine.plan_misses, 2);
+        assert_eq!(stats.shards[1 - home].submitted, 0);
+    }
+
+    #[test]
+    fn activations_of_one_matrix_never_overlap() {
+        // The activation mark: while one worker activates A (parked on the
+        // gate), the idle worker must not activate A too — the queued
+        // execute waits, then hits the plan the gate request left behind.
+        let (pool, _engine, entries) = pool_and_corpus(2);
+        let a = Arc::new(entries[0].matrix.clone());
+        let home = pool.shard_for(&a);
+        let x = Arc::new(vec![1.0; a.cols()]);
+        let (gate_request, gate) = gate_request(Arc::clone(&a));
+        let gated = pool.submit(gate_request);
+        wait_for_dequeues(&pool, Priority::Interactive, 1);
+        let mut execute = pool.submit(ServingRequest::execute(Arc::clone(&a), x, 1));
+        let early = execute
+            .wait_timeout(Duration::from_millis(100))
+            .map(|response| response.is_some());
+        open(&gate);
+        assert_eq!(
+            early,
+            Ok(false),
+            "a second activation of A started while the first was in flight"
+        );
+        let response = execute
+            .wait_timeout(Duration::from_secs(30))
+            .expect("healthy worker")
+            .expect("the execute resolves once A's activation returns")
+            .clone();
+        assert_eq!(response.shard, home);
+        assert!(wait_bounded(gated).is_ok());
+        let stats = pool.shutdown();
+        assert_eq!(stats.shards[home].engine.plan_misses, 1);
+        assert_eq!(stats.shards[home].engine.plan_hits, 1);
+        assert_eq!(stats.served(), 2);
+    }
+
+    #[test]
+    fn a_burst_of_fresh_copies_is_profiled_prepared_and_billed_once() {
+        // K distinct copies of one never-seen matrix, submitted from four
+        // threads to a 2-shard pool: both workers pop copies, but only one
+        // may activate the fingerprint at a time, so the pool profiles,
+        // prepares and bills exactly once — the sequential replay's shape.
+        const K: usize = 24;
+        const THREADS: usize = 4;
+        let (pool, engine, entries) = pool_and_corpus(2);
+        let source = &entries[3].matrix;
+        let fresh_copy = || {
+            let (rows, cols, offsets, indices, values) = source.clone().into_raw();
+            Arc::new(CsrMatrix::try_new(rows, cols, offsets, indices, values).expect("valid CSR"))
+        };
+        let x = Arc::new(
+            (0..source.cols())
+                .map(|i| 1.0 + i as f64 * 0.25)
+                .collect::<Vec<_>>(),
+        );
+        let pool = Arc::new(pool);
+        let submitters: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                let copies: Vec<Arc<CsrMatrix>> = (0..K / THREADS).map(|_| fresh_copy()).collect();
+                let x = Arc::clone(&x);
+                std::thread::spawn(move || {
+                    copies
+                        .into_iter()
+                        .map(|copy| pool.submit(ServingRequest::execute(copy, Arc::clone(&x), 19)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let responses: Vec<ServingResponse> = submitters
+            .into_iter()
+            .flat_map(|submitter| submitter.join().expect("submitter"))
+            .map(|ticket| wait_bounded(ticket).expect("healthy worker"))
+            .collect();
+
+        let replay = SeerEngine::with_fleet(engine.fleet().clone(), engine.models_handle());
+        let miss = replay.execute(&fresh_copy(), &x, 19);
+        let hit = replay.execute(&fresh_copy(), &x, 19);
+        assert!(
+            miss.total_time > hit.total_time,
+            "the miss carries the selection bill"
+        );
+        let bits = |values: &[Scalar]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut billed = 0;
+        for response in &responses {
+            assert_eq!(response.selection, miss.selection);
+            let result = response.result.as_deref().expect("execute result");
+            assert_eq!(bits(result), bits(&miss.result));
+            let total = response.total_time.expect("execute time");
+            if total == miss.total_time {
+                billed += 1;
+            } else {
+                assert_eq!(total, hit.total_time);
+            }
+        }
+        assert_eq!(billed, 1, "exactly one response carries the miss");
+        let stats = Arc::into_inner(pool).expect("submitters joined").shutdown();
+        let engine = stats.engine();
+        assert_eq!(engine.profile_passes, 1);
+        assert_eq!(engine.plan_preparations, 1);
+        assert_eq!(engine.plan_misses, 1);
+        assert_eq!(engine.plan_hits, K as u64 - 1);
+        assert_eq!(stats.served(), K as u64);
+    }
+
+    /// Runs `task` on its own thread and waits at most `bound` for it: a
+    /// task that never returns fails with `what` and the round's seed
+    /// instead of hanging the test.
+    fn within<T: Send + 'static>(
+        bound: Duration,
+        seed: u64,
+        what: &str,
+        task: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = sender.send(task());
+        });
+        match receiver.recv_timeout(bound) {
+            Ok(value) => {
+                runner.join().expect("bounded task");
+                value
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("missed wake-up: {what} still blocked after {bound:?}, seed {seed}")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("{what} panicked, seed {seed}")
+            }
+        }
+    }
+
+    #[test]
+    fn closed_loop_rounds_never_miss_a_wake_up() {
+        // Many short rounds over a few repeated matrices, more workers than
+        // cores, with and without routing offload and batching: closed-loop
+        // clients, then a burst that a drain parks behind, then a shutdown.
+        // Every wait is bounded: a missed wake-up fails with the round's
+        // seed instead of hanging.
+        const ROUNDS: u64 = 100;
+        const CLIENTS: u64 = 3;
+        const PER_CLIENT: usize = 20;
+        const BURST: usize = 12;
+        const BOUND: Duration = Duration::from_secs(20);
+        let entries = generate(&CollectionConfig::tiny());
+        let (engine, _outcome) =
+            SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap();
+        let corpus: Vec<Arc<CsrMatrix>> = entries
+            .iter()
+            .take(3)
+            .map(|e| Arc::new(e.matrix.clone()))
+            .collect();
+        let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+        for seed in 0..ROUNDS {
+            let shards = (cores + 1 + seed as usize % 2).min(8);
+            let mut config = PoolConfig::with_shards(shards);
+            if seed % 2 == 1 {
+                config = config.with_routing(Some(RoutingConfig::default().with_max_batch(4)));
+            }
+            let pool = Arc::new(ServingPool::from_engine(&engine, config));
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    let pool = Arc::clone(&pool);
+                    let corpus = corpus.clone();
+                    std::thread::spawn(move || {
+                        let mut rng = SplitMix64::new(seed * CLIENTS + client);
+                        for request in 0..PER_CLIENT {
+                            let pick = rng.next_u64();
+                            let matrix = Arc::clone(&corpus[pick as usize % corpus.len()]);
+                            let serving = if pick & 8 == 0 {
+                                ServingRequest::select(matrix, 19)
+                            } else {
+                                let x = Arc::new(vec![1.0; matrix.cols()]);
+                                ServingRequest::execute(matrix, x, 19)
+                            };
+                            match pool.submit(serving).wait_timeout(BOUND) {
+                                Ok(Some(_)) => {}
+                                Ok(None) => {
+                                    return Err(format!(
+                                        "missed wake-up: seed {seed}, client {client}, request {request}"
+                                    ))
+                                }
+                                Err(error) => {
+                                    return Err(format!("seed {seed}: request failed: {error}"))
+                                }
+                            }
+                        }
+                        Ok(())
+                    })
+                })
+                .collect();
+            for client in clients {
+                if let Err(message) = client.join().expect("client thread") {
+                    panic!("{message}");
+                }
+            }
+            let burst: Vec<Ticket> = (0..BURST)
+                .map(|i| {
+                    let matrix = Arc::clone(&corpus[i % corpus.len()]);
+                    pool.submit(ServingRequest::select(matrix, 19))
+                })
+                .collect();
+            within(BOUND, seed, "drain", {
+                let pool = Arc::clone(&pool);
+                move || pool.drain()
+            });
+            assert!(
+                burst.iter().all(Ticket::is_done),
+                "seed {seed}: drain returned before its burst resolved"
+            );
+            let pool = Arc::into_inner(pool).expect("clients joined");
+            let stats = within(BOUND, seed, "shutdown", move || pool.shutdown());
+            let offered = CLIENTS * PER_CLIENT as u64 + BURST as u64;
+            assert_eq!(stats.served(), offered, "seed {seed}");
+            assert_eq!(stats.queue_depth(), 0, "seed {seed}");
+        }
     }
 }
