@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use seer_core::engine::SeerEngine;
 use seer_core::serving::{
     AdmissionConfig, PoolConfig, Priority, RoutingConfig, ServingError, ServingPool,
-    ServingRequest, ShedPolicy, SubmitOutcome, Ticket,
+    ServingRequest, SubmitOutcome, Ticket,
 };
 use seer_core::training::TrainingConfig;
 use seer_gpu::{Fleet, Gpu};
@@ -81,9 +81,9 @@ struct Options {
     /// resolves, zero wrong results, exact retry/migration counters, and
     /// post-death throughput within 2x of a fleet that never had the device.
     chaos: bool,
-    /// Overload lane: calibrate the pool's capacity admission-free, then
-    /// offer the `sustained_overload` scenario at ~4x that rate through an
-    /// admission-controlled pool; asserts zero unresolved tickets, exact
+    /// Overload lane: calibrate the pool's capacity on an unbounded pool,
+    /// then offer the `sustained_overload` scenario at ~4x that rate through
+    /// a bounded pool; asserts zero unresolved tickets, exact
     /// served/shed/expired/failed balance, bit-identical executed results,
     /// a bounded interactive-class p99 and shedding that lands on the lower
     /// classes.
@@ -481,7 +481,7 @@ fn class_priority(class: RequestClass) -> Priority {
 }
 
 /// The overload lane: calibrate what the pool can actually serve with
-/// admission control off, then offer the `sustained_overload` stream at ~4x
+/// an unbounded front door, then offer the `sustained_overload` stream at ~4x
 /// that rate through a bounded, priority-aware, deadline-aware front door.
 /// The pool must stay fully accounted under pressure: zero unresolved
 /// tickets, an exact `served + shed + expired + failed == offered` balance
@@ -553,7 +553,7 @@ fn run_overload(options: &Options) {
         request
     };
 
-    // Phase 1: capacity calibration. An admission-free pool serves a prefix
+    // Phase 1: capacity calibration. An unbounded pool serves a prefix
     // as fast as it can — no deadlines, no classes — and that throughput is
     // the pool's sustained capacity.
     let calibration_len = stream.len().min(2_000);
@@ -572,15 +572,14 @@ fn run_overload(options: &Options) {
     let capacity_rps = calibration_len as f64 / calibration_start.elapsed().as_secs_f64();
     calibration_pool.shutdown();
 
-    // Phase 2: a fresh admission-controlled pool offered ~4x that capacity.
+    // Phase 2: a fresh bounded pool offered ~4x that capacity.
     // The pool-wide in-flight cap sits below the summed queue bounds so both
     // brakes (per-shard queue, pool-wide cap) can engage.
     let admission = AdmissionConfig::bounded(QUEUE_CAPACITY)
-        .with_max_in_flight(options.shards * QUEUE_CAPACITY * 3 / 4)
-        .with_shed_policy(ShedPolicy::DropLowestPriority);
+        .with_max_in_flight(options.shards * QUEUE_CAPACITY * 3 / 4);
     let pool = ServingPool::from_engine(
         &reference,
-        PoolConfig::with_shards(options.shards).with_admission(Some(admission)),
+        PoolConfig::with_shards(options.shards).with_admission(admission),
     );
     let offered_rate = 4.0 * capacity_rps;
     let mut tickets: Vec<Option<Ticket>> = Vec::with_capacity(stream.len());
@@ -714,8 +713,8 @@ fn run_overload(options: &Options) {
         interactive_p99 <= p99_bound,
         "interactive p99 {interactive_p99:?} exceeds the bounded-queue limit {p99_bound:?}"
     );
-    // Shedding lands on the lower classes: under DropLowestPriority the
-    // interactive slice sheds at a strictly lower rate than best-effort.
+    // Shedding lands on the lower classes: a full queue evicts the lowest
+    // queued class first, so the interactive slice sheds at a strictly lower rate than best-effort.
     assert!(
         shed_rate(0) < shed_rate(2),
         "interactive shed rate {:.3} must stay below best-effort's {:.3}",
@@ -903,17 +902,13 @@ fn run_burst_phase(
         "{label}: pooled results diverged from the sequential oracle"
     );
     let n = stream.len() as u64;
-    assert!(stats.routing.enabled, "{label}: pool must be routed");
     assert_eq!(
         stats.routing.routed_async, n,
         "{label}: every accepted request routes off the submitter thread"
     );
     assert_eq!(stats.routing.submit.count(), n);
     assert_eq!(stats.routing.in_stage, 0, "{label}: routing stage drained");
-    assert_eq!(
-        stats.routing.shed_stage_full + stats.routing.stage_closed,
-        0
-    );
+    assert_eq!(stats.routing.stage_closed, 0);
     assert_eq!(stats.offered(), n);
     assert_eq!(stats.served(), n);
     assert_eq!(stats.shed() + stats.expired() + stats.failed(), 0);
@@ -999,9 +994,10 @@ fn run_burst(options: &Options) {
         if options.smoke { " (smoke)" } else { "" }
     );
 
-    // An unbounded stage isolates what this lane measures: the submit cost
-    // is the stage enqueue itself, never a backpressure wait.
-    let routing = RoutingConfig::default().with_stage_capacity(0);
+    // The routing stage is unbounded and the default admission config
+    // caps nothing, so the submit cost this lane measures is the stage
+    // enqueue itself, never a backpressure wait.
+    let routing = RoutingConfig::default();
 
     // Phase one: identical bursts, single device — the micro-batching case.
     let reference = SeerEngine::new(trained.gpu_handle(), trained.models_handle());

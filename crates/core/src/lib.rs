@@ -72,5 +72,5 @@ pub use error::SeerError;
 pub use serving::{
     AdmissionConfig, AdmissionPoolStats, DevicePoolStats, HistogramSnapshot, LatencySnapshot,
     PoolConfig, PoolStats, Priority, RoutingConfig, RoutingPoolStats, ServingError, ServingPool,
-    ServingRequest, ServingResponse, ShardStats, ShedPolicy, ShedReason, SubmitOutcome,
+    ServingRequest, ServingResponse, ShardStats, ShedReason, SubmitOutcome,
 };

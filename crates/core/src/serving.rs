@@ -105,55 +105,59 @@
 //!
 //! # Admission control & overload
 //!
-//! A pool built with [`PoolConfig::with_admission`] grows a guarded front
-//! door for traffic that exceeds capacity. Each shard's share of its device
-//! queue becomes **bounded** ([`AdmissionConfig::queue_capacity`] counts
-//! only the jobs homed on that shard); every device queue has three
-//! **priority lanes** ([`Priority::Interactive`] / [`Priority::Batch`] /
-//! [`Priority::BestEffort`]) dequeued in that order, and the pool
-//! enforces an optional pool-wide in-flight cap
-//! ([`AdmissionConfig::max_in_flight`]). [`ServingPool::try_submit`] never
-//! blocks: it returns [`SubmitOutcome::Accepted`] with a ticket or
-//! [`SubmitOutcome::Shed`] with a typed [`ShedReason`].
-//! [`ServingPool::submit`] keeps its blocking contract by waiting for
-//! capacity (backpressure; counted in
+//! Every pool admits work through one front door, configured by
+//! [`PoolConfig::admission`]. The default [`AdmissionConfig`] is
+//! unbounded; [`PoolConfig::with_admission`] bounds it for traffic that
+//! exceeds capacity. Each shard's share of its device queue can be
+//! **bounded** ([`AdmissionConfig::queue_capacity`] counts only the jobs
+//! homed on that shard); every device queue has three **priority lanes**
+//! ([`Priority::Interactive`] / [`Priority::Batch`] /
+//! [`Priority::BestEffort`]) dequeued in that order, and the pool can cap
+//! its in-flight requests ([`AdmissionConfig::max_in_flight`]).
+//! [`ServingPool::try_submit`] never blocks: it returns
+//! [`SubmitOutcome::Accepted`] with a ticket or [`SubmitOutcome::Shed`]
+//! with a typed [`ShedReason`]. [`ServingPool::submit`] keeps its blocking
+//! contract by waiting for capacity (backpressure; counted in
 //! [`AdmissionPoolStats::backpressure_waits`]), and
 //! [`ServingPool::submit_with_timeout`] bounds that wait. A full queue
-//! sheds by [`ShedPolicy`]: reject the newcomer, or evict the newest
-//! strictly-lower-priority queued request to make room. Requests may carry
-//! a [`ServingRequest::deadline`]; one still queued when it passes is shed
+//! evicts the newest queued request of the shard in the lowest class
+//! strictly below the newcomer's; when nothing queued ranks below the
+//! newcomer, the newcomer is refused. Requests may carry a
+//! [`ServingRequest::deadline`]; one still queued when it passes is shed
 //! at dequeue and resolves its ticket to
 //! [`ServingError::DeadlineExceeded`]. Queue-wait and end-to-end latency
 //! distributions are recorded per priority class in fixed log-scale
-//! histograms ([`PoolStats::latency`], `p50/p99/p999`), and the shed /
-//! expired / backpressure counters ([`PoolStats::admission`]) balance
-//! exactly: every admitted request resolves as served, shed, expired or
-//! failed. Without admission control the queues are unbounded, `submit`
-//! never sheds, and every admission counter stays zero (a submit racing
-//! [`ServingPool::begin_shutdown`] or a retire resolves its ticket to the
-//! typed [`ServingError::PoolClosed`] rather than panicking).
+//! histograms ([`PoolStats::latency`], `p50/p99/p999`). On an unbounded
+//! pool `submit` never sheds and only the in-flight gauge moves; a submit
+//! racing [`ServingPool::begin_shutdown`] or a retire resolves its ticket
+//! to the typed [`ServingError::PoolClosed`] rather than panicking.
+//!
+//! The counters balance exactly: every offered request is served, shed,
+//! expired or failed, `served + shed + expired + failed == offered`
+//! ([`PoolStats::offered`]). Offered counts the admitted requests, the
+//! refusals that never got a ticket, and the routed requests a shutdown
+//! caught in the routing stage.
 //!
 //! # Routing offload
 //!
 //! A pool built with [`PoolConfig::with_routing`] moves the routing work off
-//! the submitter thread: `submit`/`try_submit` enqueue into a small bounded
-//! *routing stage* serviced by one dedicated routing worker, which computes
-//! the request's sparsity fingerprint, resolves device affinity through the
+//! the submitter thread: `submit`/`try_submit` enqueue into a *routing
+//! stage* serviced by one dedicated routing worker, which computes the
+//! request's sparsity fingerprint, resolves device affinity through the
 //! shared router engine and forwards the job to its home shard — the same
 //! placement step the inline path runs. The submit path is therefore O(1)
 //! even for a cold matrix. Admission travels with the request: the
-//! in-flight cap is still reserved at submit, priority lanes and deadlines
-//! apply unchanged at the shard, and a full stage sheds with
-//! [`ShedReason::RoutingStageFull`] (non-blocking) or backpressures the
-//! submitter (blocking). The same config sets the run bound
-//! [`RoutingConfig::max_batch`]; without it every run has length one.
+//! in-flight slot is reserved at submit, before the job enters the stage,
+//! so [`AdmissionConfig::max_in_flight`] bounds the stage too; priority
+//! lanes, queue bounds and deadlines apply unchanged at the shard, where
+//! the routing worker waits for room in a full queue. The same config sets
+//! the run bound [`RoutingConfig::max_batch`]; without it every run has
+//! length one.
 //!
 //! The counters ([`PoolStats::routing`]) prove both: `routed_async` counts
 //! stage-forwarded requests, `batched_requests` / `batch_activations` count
-//! the runs of two or more, and the front-door balance
-//! (`served + shed + expired + failed == offered`) stays exact — in-stage
-//! requests caught by a shutdown resolve typed
-//! ([`ServingError::PoolClosed`], counted in
+//! the runs of two or more, and in-stage requests caught by a shutdown
+//! resolve typed ([`ServingError::PoolClosed`], counted in
 //! [`RoutingPoolStats::stage_closed`]). Without [`RoutingConfig`] every
 //! routing counter stays zero.
 //!
@@ -187,7 +191,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -224,11 +228,10 @@ pub struct PoolConfig {
     /// traffic reweights placement for the whole pool. `None` (the default)
     /// keeps the pool bit-identical to a sequential engine replay.
     pub recalibration: Option<RecalibrationConfig>,
-    /// Admission control at the pool's front door: per-shard queue bounds,
-    /// an optional pool-wide in-flight cap and a full-queue [`ShedPolicy`].
-    /// `None` (the default) keeps the classic unbounded pool — submits
-    /// never shed and every admission counter stays zero.
-    pub admission: Option<AdmissionConfig>,
+    /// Admission control at the pool's front door: per-shard queue bounds
+    /// and a pool-wide in-flight cap. The default is unbounded — submits
+    /// never shed.
+    pub admission: AdmissionConfig,
     /// Routing offload and same-fingerprint micro-batching (see the
     /// [module docs](self#routing-offload)).
     /// `None` (the default) keeps routing on the submitter thread and
@@ -244,7 +247,7 @@ impl PoolConfig {
             shards: shards.max(1),
             structure_class_reuse: false,
             recalibration: None,
-            admission: None,
+            admission: AdmissionConfig::default(),
             routing: None,
         }
     }
@@ -262,9 +265,8 @@ impl PoolConfig {
         self
     }
 
-    /// Returns the config with front-door admission control installed (or
-    /// removed, with `None`).
-    pub fn with_admission(mut self, config: Option<AdmissionConfig>) -> Self {
+    /// Returns the config with the front door's admission bounds set.
+    pub fn with_admission(mut self, config: AdmissionConfig) -> Self {
         self.admission = config;
         self
     }
@@ -286,8 +288,7 @@ impl Default for PoolConfig {
 /// Priority class of a [`ServingRequest`]. Each device queue keeps one lane
 /// per class and dequeues the highest class first (passing over only jobs
 /// whose matrix another worker is activating), so interactive work
-/// overtakes queued batch work; under
-/// [`ShedPolicy::DropLowestPriority`] pressure sheds the lowest class first.
+/// overtakes queued batch work; a full queue sheds the lowest class first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
     /// Latency-sensitive foreground work: dequeued before every other class
@@ -326,49 +327,32 @@ impl std::fmt::Display for Priority {
     }
 }
 
-/// What a shard at its queue bound does with an incoming request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Shed the incoming request (classic tail drop). Queued work is never
-    /// disturbed, so every already-issued ticket still resolves in arrival
-    /// order.
-    #[default]
-    RejectNewest,
-    /// Evict the newest request queued for the same shard in the lowest
-    /// class *strictly below* the newcomer's to make room — the victim's
-    /// ticket resolves to [`ServingError::Shed`] with
-    /// [`ShedReason::Evicted`]. When nothing
-    /// queued ranks below the newcomer, falls back to rejecting the
-    /// newcomer.
-    DropLowestPriority,
-}
-
-/// Admission control of a [`ServingPool`]'s front door. Installed with
+/// Admission control of a [`ServingPool`]'s front door, set with
 /// [`PoolConfig::with_admission`]; see the
-/// [module docs](self#admission-control--overload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [module docs](self#admission-control--overload). The default is
+/// unbounded: no queue bound and no in-flight cap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionConfig {
     /// Maximum queued (admitted, not yet dequeued) requests homed on one
     /// shard, summed over the three priority lanes of its device queue.
-    /// `0` means unbounded — the classic queue, with priority lanes and
-    /// deadlines still honoured.
+    /// A full queue evicts the newest queued request of the shard in the
+    /// lowest class strictly below the newcomer's (its ticket resolves to
+    /// [`ServingError::Shed`] with [`ShedReason::Evicted`]); when nothing
+    /// queued ranks below the newcomer, the newcomer is refused. `0` means
+    /// unbounded, with priority lanes and deadlines still honoured.
     pub queue_capacity: usize,
     /// Pool-wide cap on in-flight requests (admitted and not yet resolved).
     /// `0` means uncapped.
     pub max_in_flight: usize,
-    /// What a shard at its queue bound does with an incoming request.
-    pub shed_policy: ShedPolicy,
 }
 
 impl AdmissionConfig {
     /// Admission control with each shard's queued jobs bounded at
-    /// `queue_capacity`, no in-flight cap and the default
-    /// [`ShedPolicy::RejectNewest`].
+    /// `queue_capacity` and no in-flight cap.
     pub fn bounded(queue_capacity: usize) -> Self {
         Self {
             queue_capacity,
             max_in_flight: 0,
-            shed_policy: ShedPolicy::RejectNewest,
         }
     }
 
@@ -378,19 +362,6 @@ impl AdmissionConfig {
         self.max_in_flight = max_in_flight;
         self
     }
-
-    /// Returns the config with the full-queue policy set.
-    pub fn with_shed_policy(mut self, shed_policy: ShedPolicy) -> Self {
-        self.shed_policy = shed_policy;
-        self
-    }
-}
-
-impl Default for AdmissionConfig {
-    /// 1024 queued jobs per shard, no in-flight cap, reject-newest shedding.
-    fn default() -> Self {
-        Self::bounded(1024)
-    }
 }
 
 /// Routing offload + same-fingerprint micro-batching of a [`ServingPool`].
@@ -398,11 +369,6 @@ impl Default for AdmissionConfig {
 /// [module docs](self#routing-offload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoutingConfig {
-    /// Maximum requests queued in the routing stage (submitted, not yet
-    /// forwarded to a shard). A full stage sheds non-blocking submits with
-    /// [`ShedReason::RoutingStageFull`] and backpressures blocking ones.
-    /// `0` means unbounded.
-    pub stage_capacity: usize,
     /// Maximum queued same-fingerprint requests a worker coalesces
     /// into one plan activation at dequeue. `1` (or `0`) disables
     /// coalescing while keeping the routing offload.
@@ -410,13 +376,6 @@ pub struct RoutingConfig {
 }
 
 impl RoutingConfig {
-    /// Returns the config with the routing-stage bound set (`0` =
-    /// unbounded).
-    pub fn with_stage_capacity(mut self, stage_capacity: usize) -> Self {
-        self.stage_capacity = stage_capacity;
-        self
-    }
-
     /// Returns the config with the per-dequeue coalescing bound set.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
@@ -425,12 +384,9 @@ impl RoutingConfig {
 }
 
 impl Default for RoutingConfig {
-    /// A 1024-deep routing stage and runs of up to 8 coalesced requests.
+    /// Runs of up to 8 coalesced requests.
     fn default() -> Self {
-        Self {
-            stage_capacity: 1024,
-            max_batch: 8,
-        }
+        Self { max_batch: 8 }
     }
 }
 
@@ -438,9 +394,8 @@ impl Default for RoutingConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ShedReason {
-    /// The home shard's bounded queue was full (and, under
-    /// [`ShedPolicy::DropLowestPriority`], nothing queued ranked strictly
-    /// below the newcomer).
+    /// The home shard's bounded queue was full and nothing queued ranked
+    /// strictly below the newcomer.
     QueueFull {
         /// The shard whose queue was full.
         shard: usize,
@@ -450,12 +405,8 @@ pub enum ShedReason {
     /// A blocking [`ServingPool::submit_with_timeout`] spent its whole
     /// timeout waiting for capacity.
     BackpressureTimeout,
-    /// The bounded routing stage of a routing-offloaded pool
-    /// ([`PoolConfig::with_routing`]) was full (non-blocking submits;
-    /// blocking submits backpressure instead).
-    RoutingStageFull,
-    /// An already-queued request was evicted by a higher-priority arrival
-    /// under [`ShedPolicy::DropLowestPriority`].
+    /// An already-queued request was evicted from a full queue by a
+    /// higher-priority arrival.
     Evicted {
         /// The shard whose queue the victim was evicted from.
         shard: usize,
@@ -473,7 +424,6 @@ impl std::fmt::Display for ShedReason {
             Self::BackpressureTimeout => {
                 write!(f, "the submit timed out waiting for pool capacity")
             }
-            Self::RoutingStageFull => write!(f, "the bounded routing stage was full"),
             Self::Evicted { shard } => {
                 write!(f, "evicted from shard {shard} by a higher-priority arrival")
             }
@@ -666,9 +616,8 @@ pub enum ServingError {
         shard: usize,
     },
     /// The request was admitted but later shed by the admission controller
-    /// — evicted from its queue by a higher-priority arrival under
-    /// [`ShedPolicy::DropLowestPriority`]. Counted in
-    /// [`ShardStats::shed`].
+    /// — evicted from its full queue by a higher-priority arrival. Counted
+    /// in [`ShardStats::shed`].
     Shed {
         /// Why the admitted request was shed.
         reason: ShedReason,
@@ -731,6 +680,34 @@ impl TicketCell {
         }
         drop(slot);
         self.resolved.notify_all();
+    }
+}
+
+/// The pool's one blocking wait with a deadline: parks on `condvar` while
+/// `blocked` holds, at most until `deadline` (`None` waits for as long as
+/// it takes). Returns the guard and whether the wait gave up at the
+/// deadline with `blocked` still true. No pool mutex guards code that can
+/// panic, so a poisoned lock is taken as is.
+fn wait_while_until<'a, T>(
+    condvar: &Condvar,
+    guard: MutexGuard<'a, T>,
+    deadline: Option<Instant>,
+    blocked: impl FnMut(&mut T) -> bool,
+) -> (MutexGuard<'a, T>, bool) {
+    match deadline {
+        None => (
+            condvar
+                .wait_while(guard, blocked)
+                .unwrap_or_else(PoisonError::into_inner),
+            false,
+        ),
+        Some(deadline) => {
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            let (guard, result) = condvar
+                .wait_timeout_while(guard, timeout, blocked)
+                .unwrap_or_else(PoisonError::into_inner);
+            (guard, result.timed_out())
+        }
     }
 }
 
@@ -815,21 +792,14 @@ impl Ticket {
         if let Some(outcome) = self.received {
             return outcome;
         }
-        let mut slot = self
+        let slot = self
             .cell
             .outcome
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = self
-                .cell
-                .resolved
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        let (mut slot, _) =
+            wait_while_until(&self.cell.resolved, slot, None, |slot| slot.is_none());
+        slot.take().expect("an untimed wait returns once resolved")
     }
 
     /// Returns the response if the request has already resolved, without
@@ -865,8 +835,7 @@ impl Ticket {
     /// callers can interleave bounded waits with other work and still
     /// [`Ticket::wait`] (or poll again) later. Like the other accessors, an
     /// observed outcome stays owned by the ticket. The wait parks on the
-    /// ticket's Condvar (spurious wakes re-checked against the deadline)
-    /// rather than spinning.
+    /// ticket's Condvar rather than spinning.
     ///
     /// # Errors
     ///
@@ -878,23 +847,14 @@ impl Ticket {
         timeout: Duration,
     ) -> Result<Option<&ServingResponse>, ServingError> {
         if self.received.is_none() {
-            let deadline = Instant::now() + timeout;
-            let mut slot = self
+            let slot = self
                 .cell
                 .outcome
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            while slot.is_none() {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                (slot, _) = self
-                    .cell
-                    .resolved
-                    .wait_timeout(slot, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+            let deadline = Instant::now().checked_add(timeout);
+            let (mut slot, _) =
+                wait_while_until(&self.cell.resolved, slot, deadline, |slot| slot.is_none());
             self.received = slot.take();
         }
         match &self.received {
@@ -1088,9 +1048,8 @@ pub struct ShardStats {
     /// dequeue (never executed), resolved to
     /// [`ServingError::DeadlineExceeded`].
     pub expired: u64,
-    /// Admitted requests of this shard evicted from its device queue by a
-    /// higher-priority arrival under [`ShedPolicy::DropLowestPriority`];
-    /// resolved to [`ServingError::Shed`].
+    /// Admitted requests of this shard evicted from its full device queue
+    /// by a higher-priority arrival; resolved to [`ServingError::Shed`].
     pub shed: u64,
     /// Execution attempts on this shard that hit a dead device (a
     /// [`seer_gpu::DeviceFailed`] from the engine). A request that fails,
@@ -1168,13 +1127,11 @@ impl DevicePoolStats {
     }
 }
 
-/// Front-door counters of a pool snapshot. All zero on a pool built
-/// without [`AdmissionConfig`] (except `shed_closed`, which also counts
-/// submits refused by a shutdown race on an uncontrolled pool).
+/// Front-door counters of a pool snapshot. On a pool with the default,
+/// unbounded [`AdmissionConfig`] only `in_flight`, `expired` and
+/// `shed_closed` (submits refused by a shutdown race) can move.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionPoolStats {
-    /// Whether the pool was built with an [`AdmissionConfig`].
-    pub enabled: bool,
     /// Requests refused at admission because the home shard's bounded
     /// queue was full (non-blocking submits).
     pub shed_queue_full: u64,
@@ -1226,14 +1183,9 @@ impl AdmissionPoolStats {
 /// [`RoutingConfig`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingPoolStats {
-    /// Whether the pool was built with a [`RoutingConfig`].
-    pub enabled: bool,
     /// Requests routed and forwarded to their home shard by the dedicated
     /// routing worker (instead of on the submitter thread).
     pub routed_async: u64,
-    /// Non-blocking submits refused because the bounded routing stage was
-    /// full ([`ShedReason::RoutingStageFull`]).
-    pub shed_stage_full: u64,
     /// Ticketed requests still in the routing stage when shutdown began;
     /// each resolved its ticket to [`ServingError::PoolClosed`].
     pub stage_closed: u64,
@@ -1274,7 +1226,7 @@ pub struct PoolStats {
     /// deliberately kept out of the per-shard counters so
     /// `engine().selections()` still equals the requests served.
     pub router: Option<EngineStats>,
-    /// Front-door admission counters; all zero without admission control.
+    /// Front-door admission counters.
     pub admission: AdmissionPoolStats,
     /// Routing-offload and micro-batching counters; all zero without
     /// [`RoutingConfig`].
@@ -1354,12 +1306,11 @@ impl PoolStats {
     }
 
     /// Everything the front door refused or revoked — see
-    /// [`AdmissionPoolStats::shed_total`] — plus routing-stage refusals
-    /// and in-stage requests revoked by shutdown.
+    /// [`AdmissionPoolStats::shed_total`] — plus in-stage requests revoked
+    /// by shutdown.
     pub fn shed(&self) -> u64 {
         self.admission
             .shed_total()
-            .saturating_add(self.routing.shed_stage_full)
             .saturating_add(self.routing.stage_closed)
     }
 
@@ -1369,12 +1320,11 @@ impl PoolStats {
     }
 
     /// Requests ever offered to the front door: admitted plus refused
-    /// before ticketing, plus routed requests that never reached a shard
-    /// (shed at a full routing stage, or caught in-stage by shutdown).
+    /// before ticketing, plus routed requests a shutdown caught in the
+    /// routing stage before they reached a shard.
     pub fn offered(&self) -> u64 {
         self.submitted()
             .saturating_add(self.admission.unticketed())
-            .saturating_add(self.routing.shed_stage_full)
             .saturating_add(self.routing.stage_closed)
     }
 
@@ -1457,13 +1407,14 @@ impl PoolStats {
         })
     }
 
-    /// Served requests per second of pool lifetime.
+    /// Served requests per second of pool lifetime. Shed, expired and
+    /// failed requests do not count.
     pub fn throughput_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
             0.0
         } else {
-            self.completed() as f64 / secs
+            self.served() as f64 / secs
         }
     }
 }
@@ -1488,8 +1439,8 @@ struct Job {
 /// group: three priority lanes behind one mutex, a per-shard bound enforced
 /// by the submit side, and two condvars — `available` wakes workers on
 /// push, close, or the release of an activation another worker skipped;
-/// `space` wakes backpressured submitters on pop/evict/close. An
-/// admission-free pool never hits the bound.
+/// `space` wakes backpressured submitters and the routing worker on
+/// pop/close. An unbounded pool never hits the bound.
 ///
 /// Each queued job keeps its home shard, and any idle worker of the device
 /// serves it on that home's engine. The one constraint is the activation
@@ -1521,7 +1472,7 @@ struct QueueState {
     /// Closed by shutdown or this device's retirement: pushes are refused
     /// and the workers exit once the lanes are empty.
     closed: bool,
-    /// Submitters currently parked on `space`; workers skip the notify
+    /// Threads currently parked on `space`; workers skip the notify
     /// syscall when nobody waits.
     space_waiters: usize,
 }
@@ -1667,6 +1618,22 @@ impl DeviceQueue {
             self.available.notify_all();
         }
     }
+
+    /// Parks a backpressured submitter or the routing worker until home
+    /// shard `shard` holds fewer than `capacity` queued jobs, the queue
+    /// closes, or the deadline passes. Returns `false` only on timeout;
+    /// `true` means "retry the placement" (room freed *or* the queue
+    /// closed — the caller re-routes either way).
+    fn wait_for_space(&self, shard: usize, capacity: usize, deadline: Option<Instant>) -> bool {
+        let slot = self.slot(shard);
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.space_waiters += 1;
+        let (mut state, timed_out) = wait_while_until(&self.space, state, deadline, |state| {
+            !state.closed && state.queued[slot] >= capacity
+        });
+        state.space_waiters -= 1;
+        !timed_out
+    }
 }
 
 /// Whether two queued jobs of one shard may share one plan activation: same
@@ -1692,19 +1659,15 @@ fn batchable(head: &Job, next: &Job) -> bool {
                 == next.request.matrix.content_fingerprint())
 }
 
-/// The bounded submit-side stage of a routing-offloaded pool: submitters
-/// push admitted jobs here in O(1), and the dedicated routing worker pops
-/// them, stamps their fingerprint, resolves placement and forwards them to
-/// their home shards. Same condvar discipline as [`DeviceQueue`]:
-/// `available` wakes the routing worker, `space` wakes backpressured
-/// submitters.
+/// The submit-side stage of a routing-offloaded pool: submitters push
+/// admitted jobs here in O(1), and the dedicated routing worker pops them,
+/// stamps their fingerprint, resolves placement and forwards them to their
+/// home shards. Unbounded: every job in it already holds an in-flight slot,
+/// so [`AdmissionConfig::max_in_flight`] bounds it.
 struct RoutingStage {
     state: Mutex<StageState>,
+    /// Wakes the routing worker on push and close.
     available: Condvar,
-    space: Condvar,
-    /// Maximum queued jobs (`0` = unbounded), from
-    /// [`RoutingConfig::stage_capacity`].
-    capacity: usize,
     /// Jobs pushed but not yet forwarded (or resolved) by the routing
     /// worker — the stage's contribution to the pool's pending count.
     in_stage: AtomicU64,
@@ -1713,128 +1676,64 @@ struct RoutingStage {
 struct StageState {
     jobs: VecDeque<Job>,
     closed: bool,
-    space_waiters: usize,
-}
-
-/// What one push attempt against the routing stage produced; `Full` and
-/// `Closed` hand the job back like [`PushAttempt`] does.
-enum StagePush {
-    Queued,
-    Full(Job),
-    Closed(Job),
 }
 
 impl RoutingStage {
-    fn new(capacity: usize) -> Arc<Self> {
+    fn new() -> Arc<Self> {
         Arc::new(Self {
             state: Mutex::new(StageState {
                 jobs: VecDeque::new(),
                 closed: false,
-                space_waiters: 0,
             }),
             available: Condvar::new(),
-            space: Condvar::new(),
-            capacity,
             in_stage: AtomicU64::new(0),
         })
     }
 
-    /// Submitter-side non-blocking push: O(1), no routing work.
-    fn push(&self, job: Job) -> StagePush {
+    /// Submitter-side push: O(1), no routing work. Hands the job back if
+    /// the stage is closed.
+    fn push(&self, job: Job) -> Result<(), Job> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.closed {
-            drop(state);
-            return StagePush::Closed(job);
-        }
-        if self.capacity > 0 && state.jobs.len() >= self.capacity {
-            drop(state);
-            return StagePush::Full(job);
+            return Err(job);
         }
         state.jobs.push_back(job);
         self.in_stage.fetch_add(1, Ordering::SeqCst);
         drop(state);
         self.available.notify_one();
-        StagePush::Queued
+        Ok(())
     }
 
     /// Routing-worker-side blocking pop; `None` once the stage is closed
     /// *and* empty, so a shutdown still drains every in-stage job through
     /// the worker (which resolves each one typed).
     fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                if state.space_waiters > 0 {
-                    self.space.notify_all();
-                }
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.available
+            .wait_while(state, |state| state.jobs.is_empty() && !state.closed)
+            .unwrap_or_else(PoisonError::into_inner)
+            .jobs
+            .pop_front()
     }
 
-    /// Parks a backpressured submitter until the stage has room, closes,
-    /// or the deadline passes. Returns `false` only on timeout.
-    fn wait_for_space(&self, wait_deadline: Option<Instant>) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.space_waiters += 1;
-        let mut timed_out = false;
-        loop {
-            if state.closed || self.capacity == 0 || state.jobs.len() < self.capacity {
-                break;
-            }
-            match wait_deadline {
-                None => {
-                    state = self
-                        .space
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        timed_out = true;
-                        break;
-                    }
-                    (state, _) = self
-                        .space
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-        state.space_waiters -= 1;
-        drop(state);
-        !timed_out
-    }
-
-    /// Marks the stage closed and wakes the routing worker (to drain and
-    /// exit) and every backpressured submitter. Idempotent.
+    /// Marks the stage closed and wakes the routing worker to drain and
+    /// exit. Idempotent.
     fn close(&self) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.closed = true;
         drop(state);
         self.available.notify_all();
-        self.space.notify_all();
     }
 }
 
 /// The routing/batching counters shared by the pool handle, the routing
 /// worker and every shard worker. Present on every pool; a pool built
-/// without [`RoutingConfig`] has `enabled == false`, `max_batch == 1`
-/// (never coalesces) and keeps every counter zero.
+/// without [`RoutingConfig`] has `max_batch == 1` (never coalesces) and
+/// keeps every counter zero.
 struct RoutingShared {
-    enabled: bool,
     /// Per-dequeue coalescing bound, clamped to at least 1.
     max_batch: usize,
     routed_async: AtomicU64,
-    shed_stage_full: AtomicU64,
     stage_closed: AtomicU64,
     batched_requests: AtomicU64,
     batch_activations: AtomicU64,
@@ -1845,10 +1744,8 @@ struct RoutingShared {
 impl RoutingShared {
     fn new(config: Option<RoutingConfig>) -> Self {
         Self {
-            enabled: config.is_some(),
             max_batch: config.map_or(1, |c| c.max_batch.max(1)),
             routed_async: AtomicU64::new(0),
-            shed_stage_full: AtomicU64::new(0),
             stage_closed: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
             batch_activations: AtomicU64::new(0),
@@ -1862,22 +1759,21 @@ impl RoutingShared {
 /// shed it without consuming the request.
 enum PushAttempt {
     Queued,
-    /// The bound was hit and (under [`ShedPolicy::DropLowestPriority`]) a
-    /// strictly-lower-priority victim was evicted to make room; the victim
-    /// is resolved by the caller outside the locks.
+    /// The bound was hit and a strictly-lower-priority victim was evicted
+    /// to make room; the victim is resolved by the caller outside the
+    /// locks.
     QueuedEvicting(Job),
     Full(Job),
     Closed(Job),
 }
 
-/// The pool-wide front door: the admission config (if any) and the exact
-/// counters behind [`AdmissionPoolStats`]. Present on every pool — an
-/// uncontrolled pool keeps the in-flight gauge and the shutdown-race
-/// counter, and everything else stays zero.
+/// The pool-wide front door: the admission config and the exact counters
+/// behind [`AdmissionPoolStats`].
 struct FrontDoor {
-    config: Option<AdmissionConfig>,
+    config: AdmissionConfig,
     /// Admitted requests not yet resolved. Maintained on every pool;
-    /// enforced as a cap only when configured.
+    /// enforced as a cap only when [`AdmissionConfig::max_in_flight`] is
+    /// set.
     in_flight: AtomicU64,
     shed_queue_full: AtomicU64,
     shed_in_flight: AtomicU64,
@@ -1887,7 +1783,7 @@ struct FrontDoor {
 }
 
 impl FrontDoor {
-    fn new(config: Option<AdmissionConfig>) -> Self {
+    fn new(config: AdmissionConfig) -> Self {
         Self {
             config,
             in_flight: AtomicU64::new(0),
@@ -1897,16 +1793,6 @@ impl FrontDoor {
             shed_closed: AtomicU64::new(0),
             backpressure_waits: AtomicU64::new(0),
         }
-    }
-
-    /// The per-shard queue bound, if one is configured (`0` = unbounded).
-    fn queue_capacity(&self) -> usize {
-        self.config.map_or(0, |c| c.queue_capacity)
-    }
-
-    fn shed_policy(&self) -> ShedPolicy {
-        self.config
-            .map_or(ShedPolicy::RejectNewest, |c| c.shed_policy)
     }
 }
 
@@ -2007,14 +1893,12 @@ pub struct ServingPool {
     /// the routing worker resolves affinity off the submitter thread.
     router: Arc<RwLock<Option<Arc<SeerEngine>>>>,
     progress: Arc<Progress>,
-    /// The admission config and front-door counters (present even without
-    /// admission control, where only the in-flight gauge and the
-    /// shutdown-race counter ever move).
+    /// The admission config and front-door counters.
     front_door: Arc<FrontDoor>,
     /// Routing/batching counters, shared with the routing worker and every
     /// shard worker (all zero, `max_batch == 1`, without [`RoutingConfig`]).
     routing: Arc<RoutingShared>,
-    /// The bounded submit-side stage, present only with [`RoutingConfig`].
+    /// The submit-side routing stage, present only with [`RoutingConfig`].
     routing_stage: Option<Arc<RoutingStage>>,
     /// The dedicated routing worker draining the stage; joined by
     /// [`ServingPool::stop_workers`].
@@ -2076,9 +1960,7 @@ impl ServingPool {
             progress,
             front_door: Arc::new(FrontDoor::new(config.admission)),
             routing: Arc::new(RoutingShared::new(config.routing)),
-            routing_stage: config
-                .routing
-                .map(|routing| RoutingStage::new(routing.stage_capacity)),
+            routing_stage: config.routing.map(|_| RoutingStage::new()),
             routing_worker: Mutex::new(None),
             latency: Arc::new(LatencyRecorder::new()),
             closing: Arc::new(AtomicBool::new(false)),
@@ -2346,9 +2228,8 @@ impl ServingPool {
     /// pool, first contact with a matrix additionally resolves its device
     /// affinity through the shared router engine (cached thereafter).
     ///
-    /// Under admission control ([`PoolConfig::with_admission`]) `submit`
-    /// keeps its infallible signature by *blocking* when the pool is at
-    /// capacity — backpressure, counted in
+    /// On a bounded pool ([`PoolConfig::with_admission`]) `submit` keeps
+    /// its infallible signature by *blocking* when the pool is at capacity — backpressure, counted in
     /// [`AdmissionPoolStats::backpressure_waits`] — instead of shedding.
     /// Use [`ServingPool::try_submit`] for a non-blocking front door or
     /// [`ServingPool::submit_with_timeout`] to bound the wait. A submit
@@ -2372,9 +2253,8 @@ impl ServingPool {
 
     /// Non-blocking admission: routes and enqueues the request if the pool
     /// has capacity, otherwise returns [`SubmitOutcome::Shed`] immediately
-    /// with the typed [`ShedReason`]. On a pool without admission control
-    /// the queues are unbounded, so this only sheds when the pool is
-    /// shutting down.
+    /// with the typed [`ShedReason`]. On an unbounded pool (the default
+    /// [`AdmissionConfig`]) this only sheds when the pool is shutting down.
     ///
     /// # Panics
     ///
@@ -2416,7 +2296,10 @@ impl ServingPool {
         if self.closing.load(Ordering::SeqCst) {
             return self.refuse(ShedReason::PoolClosed);
         }
-        let capacity = self.front_door.queue_capacity();
+        let AdmissionConfig {
+            queue_capacity,
+            max_in_flight,
+        } = self.front_door.config;
         // Tracks whether this admission already counted one backpressure
         // wait — a submit that waits on both the cap and a queue still
         // counts once.
@@ -2424,7 +2307,7 @@ impl ServingPool {
 
         // Phase 1: reserve the pool-wide in-flight slot. The gauge is
         // maintained on every pool; only a configured cap can refuse.
-        let cap = self.front_door.config.map_or(0, |c| c.max_in_flight) as u64;
+        let cap = max_in_flight as u64;
         if !self.reserve_in_flight(cap) {
             if !block {
                 return self.refuse(ShedReason::InFlightCap);
@@ -2449,41 +2332,23 @@ impl ServingPool {
             fingerprint: 0,
         };
 
-        // Routing offload: hand the admitted job to the bounded stage in
-        // O(1) — no fingerprint hash, no router selection, no cache walk on
-        // this thread. The routing worker resolves placement and forwards;
-        // the ticket's shard is unknown at submit time (`usize::MAX`).
+        // Routing offload: hand the admitted job to the stage in O(1) — no
+        // fingerprint hash, no router selection, no cache walk on this
+        // thread. The routing worker resolves placement and forwards; the
+        // ticket's shard is unknown at submit time (`usize::MAX`).
         if let Some(stage) = &self.routing_stage {
             let submit_started = Instant::now();
-            loop {
-                if self.closing.load(Ordering::SeqCst) {
-                    return self.abandon(job, ShedReason::PoolClosed);
+            return match stage.push(job) {
+                Ok(()) => {
+                    self.routing.submit.record(submit_started.elapsed());
+                    SubmitOutcome::Accepted(Ticket {
+                        cell,
+                        shard: usize::MAX,
+                        received: None,
+                    })
                 }
-                match stage.push(job) {
-                    StagePush::Queued => {
-                        self.routing.submit.record(submit_started.elapsed());
-                        return SubmitOutcome::Accepted(Ticket {
-                            cell,
-                            shard: usize::MAX,
-                            received: None,
-                        });
-                    }
-                    StagePush::Full(returned) => {
-                        job = returned;
-                        if !block {
-                            return self.abandon(job, ShedReason::RoutingStageFull);
-                        }
-                        self.note_backpressure(&mut waited);
-                        if !stage.wait_for_space(wait_deadline) {
-                            return self.abandon(job, ShedReason::BackpressureTimeout);
-                        }
-                        // Space freed (or the stage closed): retry.
-                    }
-                    StagePush::Closed(returned) => {
-                        return self.abandon(returned, ShedReason::PoolClosed);
-                    }
-                }
-            }
+                Err(job) => self.abandon(job, ShedReason::PoolClosed),
+            };
         }
 
         // Inline routing: the routing key is computed once here and carried
@@ -2517,7 +2382,7 @@ impl ServingPool {
                         return self.abandon(job, ShedReason::QueueFull { shard });
                     }
                     self.note_backpressure(&mut waited);
-                    if !wait_for_space(&queue, shard, capacity, wait_deadline) {
+                    if !queue.wait_for_space(shard, queue_capacity, wait_deadline) {
                         return self.abandon(job, ShedReason::BackpressureTimeout);
                     }
                     // Space freed (or the queue closed): re-route and retry.
@@ -2558,41 +2423,25 @@ impl ServingPool {
     ) -> Result<(), ShedReason> {
         self.note_backpressure(waited);
         self.progress.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self
+        let guard = self
             .progress
             .lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let outcome = loop {
-            if self.closing.load(Ordering::SeqCst) {
-                break Err(ShedReason::PoolClosed);
-            }
-            if self.reserve_in_flight(cap) {
-                break Ok(());
-            }
-            match wait_deadline {
-                None => {
-                    guard = self
-                        .progress
-                        .served
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
+        let mut outcome = Ok(());
+        let (guard, timed_out) =
+            wait_while_until(&self.progress.served, guard, wait_deadline, |_| {
+                if self.closing.load(Ordering::SeqCst) {
+                    outcome = Err(ShedReason::PoolClosed);
+                    return false;
                 }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break Err(ShedReason::BackpressureTimeout);
-                    }
-                    (guard, _) = self
-                        .progress
-                        .served
-                        .wait_timeout(guard, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        };
+                !self.reserve_in_flight(cap)
+            });
         drop(guard);
         self.progress.waiters.fetch_sub(1, Ordering::SeqCst);
+        if timed_out {
+            outcome = Err(ShedReason::BackpressureTimeout);
+        }
         outcome
     }
 
@@ -2602,7 +2451,6 @@ impl ServingPool {
             ShedReason::QueueFull { .. } => &self.front_door.shed_queue_full,
             ShedReason::InFlightCap => &self.front_door.shed_in_flight,
             ShedReason::BackpressureTimeout => &self.front_door.shed_timeout,
-            ShedReason::RoutingStageFull => &self.routing.shed_stage_full,
             ShedReason::PoolClosed => &self.front_door.shed_closed,
             ShedReason::Evicted { .. } => {
                 unreachable!("evictions revoke admitted requests, they are not refusals")
@@ -2684,18 +2532,13 @@ impl ServingPool {
         // announcement is visible to that worker's post-completion check and
         // it will notify. See the `Progress` docs.
         self.progress.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self
+        let guard = self
             .progress
             .lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        while self.pending() > 0 {
-            guard = self
-                .progress
-                .served
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        let (guard, _) =
+            wait_while_until(&self.progress.served, guard, None, |_| self.pending() > 0);
         drop(guard);
         self.progress.waiters.fetch_sub(1, Ordering::SeqCst);
     }
@@ -2761,9 +2604,7 @@ impl ServingPool {
     fn routing_stats(&self) -> RoutingPoolStats {
         let routing = &self.routing;
         RoutingPoolStats {
-            enabled: routing.enabled,
             routed_async: routing.routed_async.load(Ordering::SeqCst),
-            shed_stage_full: routing.shed_stage_full.load(Ordering::SeqCst),
             stage_closed: routing.stage_closed.load(Ordering::SeqCst),
             batched_requests: routing.batched_requests.load(Ordering::SeqCst),
             batch_activations: routing.batch_activations.load(Ordering::SeqCst),
@@ -2780,7 +2621,6 @@ impl ServingPool {
     fn admission_stats(&self, inner: &PoolInner) -> AdmissionPoolStats {
         let door = &self.front_door;
         AdmissionPoolStats {
-            enabled: door.config.is_some(),
             shed_queue_full: door.shed_queue_full.load(Ordering::SeqCst),
             shed_in_flight: door.shed_in_flight.load(Ordering::SeqCst),
             shed_timeout: door.shed_timeout.load(Ordering::SeqCst),
@@ -2930,9 +2770,8 @@ fn place(
     let (attempt, shard, queue, counters) = {
         let (inner, shard) = route(inner, router, &job.request, job.fingerprint);
         let home = &inner.shards[shard];
-        let capacity = front_door.queue_capacity();
         (
-            push_job(home, shard, job, capacity, front_door.shed_policy()),
+            push_job(home, shard, job, front_door.config.queue_capacity),
             shard,
             Arc::clone(&home.queue),
             Arc::clone(&home.counters),
@@ -2953,15 +2792,12 @@ fn place(
 /// under the caller's `inner` read guard. The bound counts only the jobs
 /// homed on that shard. Refreshes the job's admission timestamp so
 /// queue-wait samples measure time *in the queue*, not time spent
-/// backpressured before it. Returns the job on a full or closed queue so
-/// the admission loop can wait, re-route or shed it.
-fn push_job(
-    shard: &Shard,
-    shard_index: usize,
-    mut job: Job,
-    capacity: usize,
-    policy: ShedPolicy,
-) -> PushAttempt {
+/// backpressured before it. A full queue evicts the *newest* job of this
+/// shard in the lowest class strictly below the newcomer — the request
+/// that has waited least in the most sheddable lane — and otherwise hands
+/// the job back, as it does on a closed queue, so the admission loop can
+/// wait, re-route or shed it.
+fn push_job(shard: &Shard, shard_index: usize, mut job: Job, capacity: usize) -> PushAttempt {
     job.responder.shard = shard_index;
     let queue = &shard.queue;
     let slot = queue.slot(shard_index);
@@ -2973,22 +2809,17 @@ fn push_job(
     let mut victim = None;
     if capacity > 0 && state.queued[slot] >= capacity {
         let incoming = job.request.priority.lane();
-        // Drop-lowest-priority: evict the *newest* job of this shard in
-        // the lowest class strictly below the newcomer — the request that
-        // has waited least in the most sheddable lane.
-        if policy == ShedPolicy::DropLowestPriority {
-            victim = state
-                .lanes
-                .iter_mut()
-                .skip(incoming + 1)
-                .rev()
-                .find_map(|lane| {
-                    let index = lane
-                        .iter()
-                        .rposition(|queued| queued.responder.shard == shard_index)?;
-                    lane.remove(index)
-                });
-        }
+        victim = state
+            .lanes
+            .iter_mut()
+            .skip(incoming + 1)
+            .rev()
+            .find_map(|lane| {
+                let index = lane
+                    .iter()
+                    .rposition(|queued| queued.responder.shard == shard_index)?;
+                lane.remove(index)
+            });
         if victim.is_none() {
             drop(state);
             return PushAttempt::Full(job);
@@ -3006,51 +2837,6 @@ fn push_job(
         Some(victim) => PushAttempt::QueuedEvicting(victim),
         None => PushAttempt::Queued,
     }
-}
-
-/// Parks a backpressured submitter until home shard `shard` has room in
-/// its device queue, the queue closes, or the deadline passes. Returns
-/// `false` only on timeout; `true` means "retry the admission loop" (room
-/// freed *or* the queue closed — the loop re-routes either way). Standard
-/// condvar discipline: the condition is re-checked under the queue mutex,
-/// so no wake is ever missed.
-fn wait_for_space(
-    queue: &DeviceQueue,
-    shard: usize,
-    capacity: usize,
-    wait_deadline: Option<Instant>,
-) -> bool {
-    let slot = queue.slot(shard);
-    let mut state = queue.state.lock().unwrap_or_else(PoisonError::into_inner);
-    state.space_waiters += 1;
-    let mut timed_out = false;
-    loop {
-        if state.closed || state.queued[slot] < capacity {
-            break;
-        }
-        match wait_deadline {
-            None => {
-                state = queue
-                    .space
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            Some(deadline) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    timed_out = true;
-                    break;
-                }
-                (state, _) = queue
-                    .space
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-    }
-    state.space_waiters -= 1;
-    drop(state);
-    !timed_out
 }
 
 /// Everything the routing worker thread needs, cloned out of the pool at
@@ -3081,11 +2867,12 @@ fn routing_worker_loop(ctx: &RoutingCtx) {
 
 /// Routes one staged job to its home shard, retrying across membership
 /// changes exactly like the inline admission loop. Never sheds on a full
-/// queue — the stage *is* the bounded front; the worker absorbs shard
-/// backpressure so balance stays exact. A closed device queue means either
-/// a retire (re-route to survivors: the group was unpublished in the same
-/// critical section that closed its queues) or a shutdown (resolve the
-/// ticket typed, counted in [`RoutingPoolStats::stage_closed`]).
+/// queue — the job was admitted at submit and holds its in-flight slot; the
+/// worker waits for room, so balance stays exact. A closed device queue
+/// means either a retire (re-route to survivors: the group was unpublished
+/// in the same critical section that closed its queues) or a shutdown
+/// (resolve the ticket typed, counted in
+/// [`RoutingPoolStats::stage_closed`]).
 fn forward(ctx: &RoutingCtx, mut job: Job) {
     loop {
         match place(&ctx.inner, &ctx.router, &ctx.front_door, &ctx.progress, job) {
@@ -3109,7 +2896,7 @@ fn forward(ctx: &RoutingCtx, mut job: Job) {
                 job = returned;
                 // Block until the shard frees a slot or its queue closes;
                 // either way the loop re-routes and retries.
-                wait_for_space(&queue, shard, ctx.front_door.queue_capacity(), None);
+                queue.wait_for_space(shard, ctx.front_door.config.queue_capacity, None);
             }
             Placement::Closed(returned) => {
                 job = returned;
@@ -3396,10 +3183,8 @@ fn activate(engine: &SeerEngine, request: &ServingRequest) -> Result<RunPlan, De
         #[cfg(test)]
         Workload::Gate { gate } => {
             let (lock, opened) = &**gate;
-            let mut open = lock.lock().unwrap_or_else(PoisonError::into_inner);
-            while !*open {
-                open = opened.wait(open).unwrap_or_else(PoisonError::into_inner);
-            }
+            let open = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            drop(wait_while_until(opened, open, None, |open| !*open));
         }
     }
     Ok(RunPlan::Select(engine.select_with_policy(
@@ -3457,6 +3242,21 @@ mod tests {
     use seer_sparse::collection::{generate, CollectionConfig, DatasetEntry};
     use seer_sparse::SplitMix64;
 
+    /// How long a test waits for one ticket before declaring the pool hung.
+    const TICKET_TIMEOUT: Duration = Duration::from_secs(30);
+
+    /// [`Ticket::wait`] under a bound: a ticket still unresolved after
+    /// [`TICKET_TIMEOUT`] fails the test instead of hanging the test
+    /// binary. The panic is reported at the caller's line, which names the
+    /// request that hung.
+    #[track_caller]
+    fn wait_bounded(mut ticket: Ticket) -> Result<ServingResponse, ServingError> {
+        if ticket.wait_timeout(TICKET_TIMEOUT)?.is_none() {
+            panic!("ticket unresolved after {TICKET_TIMEOUT:?}: the serving pool hung");
+        }
+        ticket.wait()
+    }
+
     fn pool_and_corpus(shards: usize) -> (ServingPool, SeerEngine, Vec<DatasetEntry>) {
         let entries = generate(&CollectionConfig::tiny());
         let (engine, _outcome) =
@@ -3485,7 +3285,7 @@ mod tests {
             .map(|e| pool.submit(ServingRequest::select(Arc::new(e.matrix.clone()), 19)))
             .collect();
         for (ticket, entry) in tickets.into_iter().zip(entries.iter().take(8)) {
-            let response = ticket.wait().expect("healthy worker");
+            let response = wait_bounded(ticket).expect("healthy worker");
             assert_eq!(response.selection, engine.select(&entry.matrix, 19));
         }
     }
@@ -3514,7 +3314,7 @@ mod tests {
         let mut selections = Vec::new();
         for matrix in &family {
             let ticket = pool.submit(ServingRequest::select(Arc::clone(matrix), 19));
-            selections.push(ticket.wait().expect("healthy worker").selection);
+            selections.push(wait_bounded(ticket).expect("healthy worker").selection);
         }
         let stats = pool.shutdown();
         // The first member decided from scratch; later members inherited.
@@ -3590,14 +3390,12 @@ mod tests {
         let (pool, engine, entries) = pool_and_corpus(2);
         let matrix = Arc::new(entries[1].matrix.clone());
         let x = Arc::new(vec![1.0; matrix.cols()]);
-        let response = pool
-            .submit(ServingRequest::execute(
-                Arc::clone(&matrix),
-                Arc::clone(&x),
-                5,
-            ))
-            .wait()
-            .expect("healthy worker");
+        let response = wait_bounded(pool.submit(ServingRequest::execute(
+            Arc::clone(&matrix),
+            Arc::clone(&x),
+            5,
+        )))
+        .expect("healthy worker");
         let reference = engine.execute(&matrix, &x, 5);
         assert_eq!(
             response.result.as_deref(),
@@ -3613,20 +3411,17 @@ mod tests {
     fn policies_are_honoured_per_request() {
         let (pool, engine, entries) = pool_and_corpus(2);
         let matrix = Arc::new(entries[2].matrix.clone());
-        let known = pool
-            .submit(
-                ServingRequest::select(Arc::clone(&matrix), 1)
-                    .with_policy(SelectionPolicy::KnownOnly),
-            )
-            .wait()
-            .expect("healthy worker");
-        let gathered = pool
-            .submit(
+        let known = wait_bounded(pool.submit(
+            ServingRequest::select(Arc::clone(&matrix), 1).with_policy(SelectionPolicy::KnownOnly),
+        ))
+        .expect("healthy worker");
+        let gathered = wait_bounded(
+            pool.submit(
                 ServingRequest::select(Arc::clone(&matrix), 1)
                     .with_policy(SelectionPolicy::GatheredOnly),
-            )
-            .wait()
-            .expect("healthy worker");
+            ),
+        )
+        .expect("healthy worker");
         assert!(!known.selection.used_gathered);
         assert!(gathered.selection.used_gathered);
         assert_eq!(known.selection, engine.select_known_only(&matrix, 1));
@@ -3646,7 +3441,7 @@ mod tests {
         assert!(shards.iter().all(|&s| s == 0));
         let responses: Vec<ServingResponse> = tickets
             .into_iter()
-            .map(|ticket| ticket.wait().expect("healthy worker"))
+            .map(|ticket| wait_bounded(ticket).expect("healthy worker"))
             .collect();
         assert_eq!(responses.len(), 6);
         let stats = pool.shutdown();
@@ -3669,7 +3464,7 @@ mod tests {
         assert_eq!(stats.submitted(), 60);
         assert_eq!(stats.completed(), 60);
         for ticket in tickets {
-            let _ = ticket.wait().expect("backlog is served before shutdown");
+            let _ = wait_bounded(ticket).expect("backlog is served before shutdown");
         }
     }
 
@@ -3687,7 +3482,7 @@ mod tests {
             }
         };
         // The polled response is not lost: wait() returns the same one.
-        assert_eq!(ticket.wait().expect("healthy worker"), polled);
+        assert_eq!(wait_bounded(ticket).expect("healthy worker"), polled);
     }
 
     #[test]
@@ -3704,13 +3499,11 @@ mod tests {
     #[test]
     fn single_device_pool_has_no_router_and_one_device_lane() {
         let (pool, _engine, entries) = pool_and_corpus(3);
-        let _ = pool
-            .submit(ServingRequest::select(
-                Arc::new(entries[0].matrix.clone()),
-                1,
-            ))
-            .wait()
-            .expect("healthy worker");
+        let _ = wait_bounded(pool.submit(ServingRequest::select(
+            Arc::new(entries[0].matrix.clone()),
+            1,
+        )))
+        .expect("healthy worker");
         let stats = pool.stats();
         assert!(stats.router.is_none());
         let lanes = stats.devices();
@@ -3768,7 +3561,7 @@ mod tests {
             .collect();
         let mut placed = std::collections::HashSet::new();
         for (ticket, (matrix, iterations)) in tickets.into_iter().zip(&requests) {
-            let response = ticket.wait().expect("healthy worker");
+            let response = wait_bounded(ticket).expect("healthy worker");
             let expected =
                 reference.select_with_policy(matrix, *iterations, SelectionPolicy::Adaptive);
             // Pooled selections are bit-identical to a sequential fleet
@@ -3814,7 +3607,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(ticket.is_done(), "is_done is idempotent");
-        let response = ticket.wait().expect("healthy worker");
+        let response = wait_bounded(ticket).expect("healthy worker");
         assert_eq!(response.shard, pool.shard_for(&entries[0].matrix));
 
         // wait_timeout: a response observed within the timeout stays owned.
@@ -3828,19 +3621,17 @@ mod tests {
                 break response.clone();
             }
         };
-        assert_eq!(ticket.wait().expect("healthy worker"), polled);
+        assert_eq!(wait_bounded(ticket).expect("healthy worker"), polled);
     }
 
     #[test]
     fn throughput_and_elapsed_are_populated() {
         let (pool, _engine, entries) = pool_and_corpus(2);
-        let _ = pool
-            .submit(ServingRequest::select(
-                Arc::new(entries[0].matrix.clone()),
-                1,
-            ))
-            .wait()
-            .expect("healthy worker");
+        let _ = wait_bounded(pool.submit(ServingRequest::select(
+            Arc::new(entries[0].matrix.clone()),
+            1,
+        )))
+        .expect("healthy worker");
         pool.drain();
         let stats = pool.stats();
         assert!(stats.elapsed > Duration::ZERO);
@@ -3870,10 +3661,13 @@ mod tests {
         // Failed requests count as completed, so drain terminates.
         pool.drain();
 
-        assert!(before.wait().is_ok());
+        assert!(wait_bounded(before).is_ok());
         let shard = poisoned.shard();
-        assert_eq!(poisoned.wait(), Err(ServingError::WorkerDied { shard }));
-        assert!(after.wait().is_ok());
+        assert_eq!(
+            wait_bounded(poisoned),
+            Err(ServingError::WorkerDied { shard })
+        );
+        assert!(wait_bounded(after).is_ok());
 
         let stats = pool.stats();
         assert_eq!(stats.submitted(), 3);
@@ -3900,7 +3694,10 @@ mod tests {
             std::thread::yield_now();
         }
         let shard = polled.shard();
-        assert_eq!(polled.wait(), Err(ServingError::WorkerDied { shard }));
+        assert_eq!(
+            wait_bounded(polled),
+            Err(ServingError::WorkerDied { shard })
+        );
         let tried_shard = tried.shard();
         loop {
             match tried.try_wait() {
@@ -3939,14 +3736,12 @@ mod tests {
 
         // Default pool: recalibration off, no observations recorded.
         let pool = ServingPool::from_engine(&engine, PoolConfig::with_shards(1));
-        let _ = pool
-            .submit(ServingRequest::execute(
-                Arc::clone(&matrix),
-                Arc::clone(&x),
-                5,
-            ))
-            .wait()
-            .expect("healthy worker");
+        let _ = wait_bounded(pool.submit(ServingRequest::execute(
+            Arc::clone(&matrix),
+            Arc::clone(&x),
+            5,
+        )))
+        .expect("healthy worker");
         assert_eq!(pool.shutdown().engine().timing_observations, 0);
 
         // Recalibrating pool: every executed request feeds the shared table.
@@ -3954,14 +3749,12 @@ mod tests {
             .with_recalibration(Some(crate::engine::RecalibrationConfig::default()));
         let pool = ServingPool::from_engine(&engine, config);
         for _ in 0..3 {
-            let _ = pool
-                .submit(ServingRequest::execute(
-                    Arc::clone(&matrix),
-                    Arc::clone(&x),
-                    5,
-                ))
-                .wait()
-                .expect("healthy worker");
+            let _ = wait_bounded(pool.submit(ServingRequest::execute(
+                Arc::clone(&matrix),
+                Arc::clone(&x),
+                5,
+            )))
+            .expect("healthy worker");
         }
         assert_eq!(pool.shutdown().engine().timing_observations, 3);
     }
@@ -3981,7 +3774,8 @@ mod tests {
             cell.resolve(Err(ServingError::WorkerDied { shard: 7 }));
         });
         let started = Instant::now();
-        assert_eq!(ticket.wait(), Err(ServingError::WorkerDied { shard: 7 }));
+        let outcome = within(TICKET_TIMEOUT, "Ticket::wait", move || ticket.wait());
+        assert_eq!(outcome, Err(ServingError::WorkerDied { shard: 7 }));
         let waited = started.elapsed();
         resolver.join().unwrap();
         assert!(
@@ -4075,7 +3869,10 @@ mod tests {
             Arc::clone(&x),
             5,
         ));
-        assert_eq!(ticket.wait(), Err(ServingError::DeviceFailed { device }));
+        assert_eq!(
+            wait_bounded(ticket),
+            Err(ServingError::DeviceFailed { device })
+        );
         // Tickets resolve before the completion counter bumps; drain so the
         // snapshot below is settled.
         pool.drain();
@@ -4088,16 +3885,11 @@ mod tests {
 
         // Selection-only requests survive a failed device: selection is
         // advisory and executes nothing.
-        assert!(pool
-            .submit(ServingRequest::select(Arc::clone(&matrix), 5))
-            .wait()
-            .is_ok());
+        assert!(wait_bounded(pool.submit(ServingRequest::select(Arc::clone(&matrix), 5))).is_ok());
 
         // Healing restores execute service on the same pool.
         pool.fleet().heal_device(device).unwrap();
-        let healed = pool
-            .submit(ServingRequest::execute(matrix, x, 5))
-            .wait()
+        let healed = wait_bounded(pool.submit(ServingRequest::execute(matrix, x, 5)))
             .expect("healed device serves again");
         assert!(healed.result.is_some());
         let stats = pool.shutdown();
@@ -4129,13 +3921,11 @@ mod tests {
             Err(MembershipError::AlreadyRetired(victim))
         );
         // Requests after the retire still resolve on the survivors.
-        let response = pool
-            .submit(ServingRequest::select(
-                Arc::new(entries[0].matrix.clone()),
-                19,
-            ))
-            .wait()
-            .expect("survivors keep serving");
+        let response = wait_bounded(pool.submit(ServingRequest::select(
+            Arc::new(entries[0].matrix.clone()),
+            19,
+        )))
+        .expect("survivors keep serving");
         assert_ne!(response.selection.device, victim);
         pool.shutdown();
     }
@@ -4172,7 +3962,7 @@ mod tests {
             })
             .collect();
         for ticket in before.into_iter().chain(after) {
-            assert!(ticket.wait().is_ok());
+            assert!(wait_bounded(ticket).is_ok());
         }
         let stats = pool.shutdown();
         assert_eq!(stats.completed(), 8);
@@ -4182,27 +3972,40 @@ mod tests {
         assert!(lanes.iter().any(|lane| lane.device == joined));
     }
 
-    /// A closed gate whose job pins the single worker, so tests can stage
-    /// deterministic queue contents behind it.
-    fn gate_request(matrix: Arc<CsrMatrix>) -> (ServingRequest, Arc<(Mutex<bool>, Condvar)>) {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let request = ServingRequest {
-            matrix,
-            iterations: 1,
-            policy: SelectionPolicy::Adaptive,
-            workload: Workload::Gate {
-                gate: Arc::clone(&gate),
-            },
-            priority: Priority::default(),
-            deadline: None,
-        };
-        (request, gate)
+    /// A gate whose requests pin the worker that dequeues them until it
+    /// opens, so tests can stage deterministic queue contents behind it.
+    /// It opens on drop: declared after the pool, it drops first, so a
+    /// failing assertion unwinds through an open gate instead of leaving
+    /// the pool's drop joining a parked worker.
+    struct TestGate(Arc<(Mutex<bool>, Condvar)>);
+
+    impl TestGate {
+        fn new() -> Self {
+            Self(Arc::new((Mutex::new(false), Condvar::new())))
+        }
+
+        /// A select-only request that blocks its worker until the gate
+        /// opens.
+        fn request(&self, matrix: Arc<CsrMatrix>) -> ServingRequest {
+            ServingRequest {
+                workload: Workload::Gate {
+                    gate: Arc::clone(&self.0),
+                },
+                ..ServingRequest::select(matrix, 1)
+            }
+        }
+
+        fn open(&self) {
+            let (lock, opened) = &*self.0;
+            *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            opened.notify_all();
+        }
     }
 
-    fn open(gate: &Arc<(Mutex<bool>, Condvar)>) {
-        let (lock, opened) = &**gate;
-        *lock.lock().unwrap() = true;
-        opened.notify_all();
+    impl Drop for TestGate {
+        fn drop(&mut self) {
+            self.open();
+        }
     }
 
     /// The deterministic retire-vs-backlog sequencing test. A gate workload pins
@@ -4231,16 +4034,10 @@ mod tests {
         let matrix = Arc::clone(&corpus[0]);
 
         // Block one worker on the gate; the lane it was routed to is the victim.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let gate = TestGate::new();
         let gated_ticket = pool.submit(ServingRequest {
-            matrix: Arc::clone(&matrix),
             iterations: 19,
-            policy: SelectionPolicy::Adaptive,
-            workload: Workload::Gate {
-                gate: Arc::clone(&gate),
-            },
-            priority: Priority::default(),
-            deadline: None,
+            ..gate.request(Arc::clone(&matrix))
         });
         let victim: DeviceId = pool
             .stats()
@@ -4283,11 +4080,7 @@ mod tests {
 
         // Open the gate: the worker serves the gate request plus the queued
         // backlog (now against a retired device), then exits; retire completes.
-        {
-            let (lock, opened) = &*gate;
-            *lock.lock().unwrap() = true;
-            opened.notify_all();
-        }
+        gate.open();
         retiring
             .join()
             .expect("retire thread")
@@ -4295,19 +4088,17 @@ mod tests {
         draining.join().expect("drain thread");
 
         // Every ticket resolved, and every one was served by a live survivor.
-        let gated_response = gated_ticket.wait().expect("gated request migrates");
+        let gated_response = wait_bounded(gated_ticket).expect("gated request migrates");
         assert_ne!(gated_response.selection.device, victim);
         for ticket in backlog_tickets {
-            let response = ticket.wait().expect("backlog request migrates");
+            let response = wait_bounded(ticket).expect("backlog request migrates");
             assert_ne!(response.selection.device, victim);
             assert!(fleet.is_live(response.selection.device));
             assert_eq!(response.selection, gated_response.selection);
         }
 
         // New work for the same matrix routes to the survivors.
-        let after = pool
-            .submit(ServingRequest::select(Arc::clone(&matrix), 19))
-            .wait()
+        let after = wait_bounded(pool.submit(ServingRequest::select(Arc::clone(&matrix), 19)))
             .expect("post-retire request");
         assert_ne!(after.selection.device, victim);
 
@@ -4345,14 +4136,21 @@ mod tests {
         panic!("workers never dequeued {count} {priority} jobs");
     }
 
-    fn admission_pool(admission: AdmissionConfig) -> (ServingPool, Vec<Arc<CsrMatrix>>) {
+    /// A single-shard pool with the given admission bounds and, with
+    /// `routing`, the routing stage and micro-batching on.
+    fn one_shard_pool(
+        admission: AdmissionConfig,
+        routing: Option<RoutingConfig>,
+    ) -> (ServingPool, Vec<Arc<CsrMatrix>>) {
         let entries = generate(&CollectionConfig::tiny());
         let (engine, _outcome) =
             SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap();
         let corpus = entries.iter().map(|e| Arc::new(e.matrix.clone())).collect();
         let pool = ServingPool::from_engine(
             &engine,
-            PoolConfig::with_shards(1).with_admission(Some(admission)),
+            PoolConfig::with_shards(1)
+                .with_admission(admission)
+                .with_routing(routing),
         );
         (pool, corpus)
     }
@@ -4365,14 +4163,18 @@ mod tests {
         // — it resolves while the best-effort gate is still closed.
         let (pool, _engine, entries) = pool_and_corpus(1);
         let matrix = Arc::new(entries[0].matrix.clone());
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
-        let (slow_request, slow_gate) = gate_request(Arc::clone(&matrix));
-        let best_effort = pool.submit(slow_request.with_priority(Priority::BestEffort));
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
+        let slow_gate = TestGate::new();
+        let best_effort = pool.submit(
+            slow_gate
+                .request(Arc::clone(&matrix))
+                .with_priority(Priority::BestEffort),
+        );
         let interactive = pool.submit(
             ServingRequest::select(Arc::clone(&matrix), 19).with_priority(Priority::Interactive),
         );
-        open(&pin);
+        pin.open();
         let mut interactive = interactive;
         let response = interactive
             .wait_timeout(Duration::from_secs(30))
@@ -4384,9 +4186,9 @@ mod tests {
             !best_effort.is_done(),
             "the best-effort job is still gated behind the served interactive one"
         );
-        open(&slow_gate);
-        assert!(best_effort.wait().is_ok());
-        assert!(pinned.wait().is_ok());
+        slow_gate.open();
+        assert!(wait_bounded(best_effort).is_ok());
+        assert!(wait_bounded(pinned).is_ok());
         let stats = pool.shutdown();
         assert_eq!(stats.completed(), 3);
         assert_eq!(stats.served(), 3);
@@ -4400,17 +4202,20 @@ mod tests {
     fn expired_requests_are_shed_at_dequeue_and_never_executed() {
         let (pool, _engine, entries) = pool_and_corpus(1);
         let matrix = Arc::new(entries[0].matrix.clone());
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         let selections_before = pool.stats().engine().selections();
         let doomed = pool.submit(
             ServingRequest::select(Arc::clone(&matrix), 19).with_timeout(Duration::from_millis(1)),
         );
         std::thread::sleep(Duration::from_millis(20));
-        open(&pin);
+        pin.open();
         let shard = doomed.shard();
-        assert_eq!(doomed.wait(), Err(ServingError::DeadlineExceeded { shard }));
-        assert!(pinned.wait().is_ok());
+        assert_eq!(
+            wait_bounded(doomed),
+            Err(ServingError::DeadlineExceeded { shard })
+        );
+        assert!(wait_bounded(pinned).is_ok());
         pool.drain();
         let stats = pool.shutdown();
         assert_eq!(stats.expired(), 1);
@@ -4425,14 +4230,21 @@ mod tests {
         // Expiry is a deadline miss, not load shedding.
         assert_eq!(stats.shed(), 0);
         assert_eq!(stats.admission.in_flight, 0);
+        // Throughput counts served requests only, not the expired one.
+        let served = stats.served() as f64;
+        let rate_times_elapsed = stats.throughput_per_sec() * stats.elapsed.as_secs_f64();
+        assert!(
+            (rate_times_elapsed - served).abs() <= 1e-9 * served,
+            "throughput x elapsed = {rate_times_elapsed}, served = {served}"
+        );
     }
 
     #[test]
     fn full_queue_sheds_newest_with_a_typed_reason() {
-        let (pool, corpus) = admission_pool(AdmissionConfig::bounded(1));
+        let (pool, corpus) = one_shard_pool(AdmissionConfig::bounded(1), None);
         let matrix = Arc::clone(&corpus[0]);
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         // The worker holds the gate job; capacity 1 admits exactly one more.
         let queued = pool.try_submit(ServingRequest::select(Arc::clone(&matrix), 19));
@@ -4440,11 +4252,10 @@ mod tests {
         let shed = pool.try_submit(ServingRequest::select(Arc::clone(&matrix), 19));
         assert_eq!(shed.shed_reason(), Some(ShedReason::QueueFull { shard: 0 }));
         assert!(!shed.is_accepted());
-        open(&pin);
-        assert!(pinned.wait().is_ok());
-        assert!(queued.ticket().expect("accepted").wait().is_ok());
+        pin.open();
+        assert!(wait_bounded(pinned).is_ok());
+        assert!(wait_bounded(queued.ticket().expect("accepted")).is_ok());
         let stats = pool.shutdown();
-        assert!(stats.admission.enabled);
         assert_eq!(stats.admission.shed_queue_full, 1);
         assert_eq!(stats.admission.unticketed(), 1);
         assert_eq!(stats.shed(), 1);
@@ -4458,12 +4269,10 @@ mod tests {
 
     #[test]
     fn drop_lowest_priority_evicts_the_newest_lower_class_victim() {
-        let (pool, corpus) = admission_pool(
-            AdmissionConfig::bounded(1).with_shed_policy(ShedPolicy::DropLowestPriority),
-        );
+        let (pool, corpus) = one_shard_pool(AdmissionConfig::bounded(1), None);
         let matrix = Arc::clone(&corpus[0]);
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         let victim = pool
             .try_submit(
@@ -4485,14 +4294,14 @@ mod tests {
         );
         assert!(winner.is_accepted());
         assert_eq!(
-            victim.wait(),
+            wait_bounded(victim),
             Err(ServingError::Shed {
                 reason: ShedReason::Evicted { shard: 0 }
             })
         );
-        open(&pin);
-        assert!(pinned.wait().is_ok());
-        assert!(winner.ticket().expect("accepted").wait().is_ok());
+        pin.open();
+        assert!(wait_bounded(pinned).is_ok());
+        assert!(wait_bounded(winner.ticket().expect("accepted")).is_ok());
         let stats = pool.shutdown();
         assert_eq!(stats.admission.evicted, 1);
         assert_eq!(stats.shards[0].shed, 1);
@@ -4507,40 +4316,59 @@ mod tests {
 
     #[test]
     fn in_flight_cap_sheds_and_blocking_submits_apply_backpressure() {
-        let (pool, corpus) = admission_pool(AdmissionConfig::bounded(0).with_max_in_flight(1));
-        let matrix = Arc::clone(&corpus[0]);
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
-        // The gate job occupies the only in-flight slot.
-        let shed = pool.try_submit(ServingRequest::select(Arc::clone(&matrix), 19));
-        assert_eq!(shed.shed_reason(), Some(ShedReason::InFlightCap));
-        // A bounded blocking submit waits, then sheds on timeout.
-        let timed = pool.submit_with_timeout(
-            ServingRequest::select(Arc::clone(&matrix), 19),
-            Duration::from_millis(30),
-        );
-        assert_eq!(timed.shed_reason(), Some(ShedReason::BackpressureTimeout));
-        // An unbounded blocking submit parks until the slot frees.
-        let pool = Arc::new(pool);
-        let parked = {
-            let pool = Arc::clone(&pool);
-            let matrix = Arc::clone(&matrix);
-            std::thread::spawn(move || pool.submit(ServingRequest::select(matrix, 19)).wait())
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!parked.is_finished(), "the slot is still held by the gate");
-        open(&pin);
-        assert!(pinned.wait().is_ok());
-        assert!(parked.join().unwrap().is_ok());
-        let pool = Arc::into_inner(pool).expect("submitter joined");
-        let stats = pool.shutdown();
-        assert_eq!(stats.admission.shed_in_flight, 1);
-        assert_eq!(stats.admission.shed_timeout, 1);
-        assert!(stats.admission.backpressure_waits >= 2);
-        assert_eq!(stats.admission.in_flight, 0);
-        assert_eq!(stats.completed(), 2);
-        assert_eq!(stats.shed(), 2);
-        assert_eq!(stats.offered(), 4);
+        // The same cap on an inline and on a routed pool: admission reserves
+        // the slot before a job enters the routing stage, so the cap bounds
+        // the stage too.
+        for routing in [None, Some(RoutingConfig::default())] {
+            let label = if routing.is_some() {
+                "routed"
+            } else {
+                "inline"
+            };
+            let (pool, corpus) =
+                one_shard_pool(AdmissionConfig::default().with_max_in_flight(1), routing);
+            let pool = Arc::new(pool);
+            let matrix = Arc::clone(&corpus[0]);
+            let pin = TestGate::new();
+            let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
+            // The gate job occupies the only in-flight slot.
+            let shed = pool.try_submit(ServingRequest::select(Arc::clone(&matrix), 19));
+            assert_eq!(shed.shed_reason(), Some(ShedReason::InFlightCap), "{label}");
+            // A bounded blocking submit waits, then sheds on timeout.
+            let timed = pool.submit_with_timeout(
+                ServingRequest::select(Arc::clone(&matrix), 19),
+                Duration::from_millis(30),
+            );
+            assert_eq!(
+                timed.shed_reason(),
+                Some(ShedReason::BackpressureTimeout),
+                "{label}"
+            );
+            // An unbounded blocking submit parks until the slot frees.
+            let parked = {
+                let pool = Arc::clone(&pool);
+                let matrix = Arc::clone(&matrix);
+                std::thread::spawn(move || {
+                    wait_bounded(pool.submit(ServingRequest::select(matrix, 19)))
+                })
+            };
+            std::thread::sleep(Duration::from_millis(30));
+            assert!(
+                !parked.is_finished(),
+                "{label}: the slot is still held by the gate"
+            );
+            pin.open();
+            assert!(wait_bounded(pinned).is_ok());
+            assert!(parked.join().unwrap().is_ok());
+            let stats = Arc::into_inner(pool).expect("submitter joined").shutdown();
+            assert_eq!(stats.admission.shed_in_flight, 1, "{label}");
+            assert_eq!(stats.admission.shed_timeout, 1, "{label}");
+            assert!(stats.admission.backpressure_waits >= 2, "{label}");
+            assert_eq!(stats.admission.in_flight, 0, "{label}");
+            assert_eq!(stats.completed(), 2, "{label}");
+            assert_eq!(stats.shed(), 2, "{label}");
+            assert_eq!(stats.offered(), 4, "{label}");
+        }
     }
 
     #[test]
@@ -4554,10 +4382,9 @@ mod tests {
                 .map(|e| ServingRequest::select(Arc::new(e.matrix.clone()), 19)),
         );
         for ticket in tickets {
-            assert!(ticket.wait().is_ok());
+            assert!(wait_bounded(ticket).is_ok());
         }
         let stats = pool.shutdown();
-        assert!(!stats.admission.enabled);
         assert_eq!(stats.admission.shed_queue_full, 0);
         assert_eq!(stats.admission.shed_in_flight, 0);
         assert_eq!(stats.admission.shed_timeout, 0);
@@ -4589,12 +4416,12 @@ mod tests {
         let refused = pool.submit(ServingRequest::select(Arc::clone(&matrix), 19));
         assert!(refused.is_done());
         assert_eq!(refused.shard(), usize::MAX);
-        assert_eq!(refused.wait(), Err(ServingError::PoolClosed));
+        assert_eq!(wait_bounded(refused), Err(ServingError::PoolClosed));
         // Non-blocking submit: a typed shed.
         let shed = pool.try_submit(ServingRequest::select(Arc::clone(&matrix), 19));
         assert_eq!(shed.shed_reason(), Some(ShedReason::PoolClosed));
         // Work admitted before the shutdown still drains.
-        assert!(served.wait().is_ok());
+        assert!(wait_bounded(served).is_ok());
         let stats = pool.shutdown();
         assert_eq!(stats.submitted(), 1);
         assert_eq!(stats.completed(), 1);
@@ -4731,26 +4558,6 @@ mod tests {
             [0, 1, 2],
             "ALL lists classes in dequeue order"
         );
-        assert!(ShedReason::RoutingStageFull.to_string().contains("routing"));
-    }
-
-    /// A single-shard pool with the routing stage and micro-batching on,
-    /// plus an optional admission config layered underneath.
-    fn routed_pool(
-        routing: RoutingConfig,
-        admission: Option<AdmissionConfig>,
-    ) -> (ServingPool, Vec<Arc<CsrMatrix>>) {
-        let entries = generate(&CollectionConfig::tiny());
-        let (engine, _outcome) =
-            SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap();
-        let corpus = entries.iter().map(|e| Arc::new(e.matrix.clone())).collect();
-        let pool = ServingPool::from_engine(
-            &engine,
-            PoolConfig::with_shards(1)
-                .with_admission(admission)
-                .with_routing(Some(routing)),
-        );
-        (pool, corpus)
     }
 
     /// Waits until the routing worker has forwarded `count` jobs to shard
@@ -4773,22 +4580,20 @@ mod tests {
         let (pool, _engine, entries) = pool_and_corpus(2);
         let matrix = Arc::new(entries[0].matrix.clone());
         for _ in 0..6 {
-            let _ = pool
-                .submit(ServingRequest::select(Arc::clone(&matrix), 19))
-                .wait()
+            let _ = wait_bounded(pool.submit(ServingRequest::select(Arc::clone(&matrix), 19)))
                 .expect("healthy worker");
         }
         let stats = pool.shutdown();
         assert_eq!(stats.served(), 6);
         assert_eq!(stats.routing, RoutingPoolStats::default());
-        assert!(!stats.routing.enabled);
         assert_eq!(stats.routing.mean_batch_size(), 0.0);
         assert_eq!(stats.routing.submit.count(), 0);
     }
 
     #[test]
     fn routed_pool_matches_sequential_and_balances_counters() {
-        let (pool, corpus) = routed_pool(RoutingConfig::default(), None);
+        let (pool, corpus) =
+            one_shard_pool(AdmissionConfig::default(), Some(RoutingConfig::default()));
         let (replay_engine, _outcome) = {
             let entries = generate(&CollectionConfig::tiny());
             SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap()
@@ -4806,7 +4611,7 @@ mod tests {
         // the routing worker's job, not the submitter's.
         assert!(tickets.iter().all(|t| t.shard() == usize::MAX));
         for (i, ticket) in tickets.into_iter().enumerate() {
-            let response = ticket.wait().expect("healthy worker");
+            let response = wait_bounded(ticket).expect("healthy worker");
             assert_eq!(
                 response.selection,
                 replay_engine.select_with_policy(
@@ -4818,10 +4623,8 @@ mod tests {
             );
         }
         let stats = pool.shutdown();
-        assert!(stats.routing.enabled);
         assert_eq!(stats.routing.routed_async, total as u64);
         assert_eq!(stats.routing.in_stage, 0);
-        assert_eq!(stats.routing.shed_stage_full, 0);
         assert_eq!(stats.routing.stage_closed, 0);
         // Every submit went through the O(1) path and was timed.
         assert_eq!(stats.routing.submit.count(), total as u64);
@@ -4833,12 +4636,15 @@ mod tests {
 
     #[test]
     fn same_fingerprint_runs_coalesce_into_one_activation() {
-        let (pool, corpus) = routed_pool(RoutingConfig::default().with_max_batch(16), None);
+        let (pool, corpus) = one_shard_pool(
+            AdmissionConfig::default(),
+            Some(RoutingConfig::default().with_max_batch(16)),
+        );
         let matrix = Arc::clone(&corpus[0]);
         // Pin the worker so the burst queues up behind it. The gate job is
         // a chaos workload: it can never be coalesced into the run.
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         let burst = 8;
         let tickets: Vec<Ticket> = (0..burst)
@@ -4847,12 +4653,12 @@ mod tests {
         // Every burst member must be sitting in the shard queue before the
         // gate opens, or the run fragments nondeterministically.
         wait_for_forwards(&pool, burst as u64 + 1);
-        open(&pin);
+        pin.open();
         let selections: Vec<Selection> = tickets
             .into_iter()
-            .map(|t| t.wait().expect("healthy worker").selection)
+            .map(|t| wait_bounded(t).expect("healthy worker").selection)
             .collect();
-        assert!(pinned.wait().is_ok());
+        assert!(wait_bounded(pinned).is_ok());
         assert!(selections.iter().all(|s| *s == selections[0]));
         let stats = pool.shutdown();
         assert_eq!(stats.served(), burst as u64 + 1);
@@ -4870,15 +4676,18 @@ mod tests {
 
     #[test]
     fn batched_execute_matches_sequential_results_bit_for_bit() {
-        let (pool, corpus) = routed_pool(RoutingConfig::default().with_max_batch(16), None);
+        let (pool, corpus) = one_shard_pool(
+            AdmissionConfig::default(),
+            Some(RoutingConfig::default().with_max_batch(16)),
+        );
         let (replay_engine, _outcome) = {
             let entries = generate(&CollectionConfig::tiny());
             SeerEngine::train(Gpu::default(), &entries, &TrainingConfig::fast()).unwrap()
         };
         let matrix = Arc::clone(&corpus[1]);
         let x = Arc::new(vec![0.5; matrix.cols()]);
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         let burst = 6;
         let tickets: Vec<Ticket> = (0..burst)
@@ -4891,12 +4700,12 @@ mod tests {
             })
             .collect();
         wait_for_forwards(&pool, burst as u64 + 1);
-        open(&pin);
+        pin.open();
         let responses: Vec<ServingResponse> = tickets
             .into_iter()
-            .map(|t| t.wait().expect("healthy worker"))
+            .map(|t| wait_bounded(t).expect("healthy worker"))
             .collect();
-        assert!(pinned.wait().is_ok());
+        assert!(wait_bounded(pinned).is_ok());
         // Sequential oracle: same requests, one at a time, fresh engine.
         let first = replay_engine.execute(&matrix, &x, 5);
         for (index, response) in responses.iter().enumerate() {
@@ -4926,10 +4735,13 @@ mod tests {
         // while it sat grouped in a pending batch is still shed at dequeue
         // (counted expired), and its batchmates serve through the shared
         // activation unharmed.
-        let (pool, corpus) = routed_pool(RoutingConfig::default().with_max_batch(16), None);
+        let (pool, corpus) = one_shard_pool(
+            AdmissionConfig::default(),
+            Some(RoutingConfig::default().with_max_batch(16)),
+        );
         let matrix = Arc::clone(&corpus[0]);
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         // The doomed request is first into the batch — the run's *head* —
         // so expiry must also shift the activation onto a later batchmate.
@@ -4942,15 +4754,15 @@ mod tests {
         wait_for_forwards(&pool, 6);
         std::thread::sleep(Duration::from_millis(20));
         let selections_before = pool.stats().engine().selections();
-        open(&pin);
+        pin.open();
         assert_eq!(
-            doomed.wait(),
+            wait_bounded(doomed),
             Err(ServingError::DeadlineExceeded { shard: 0 })
         );
         for ticket in survivors {
-            let _ = ticket.wait().expect("batchmates of an expired request");
+            let _ = wait_bounded(ticket).expect("batchmates of an expired request");
         }
-        assert!(pinned.wait().is_ok());
+        assert!(wait_bounded(pinned).is_ok());
         let stats = pool.shutdown();
         assert_eq!(stats.expired(), 1);
         assert_eq!(stats.served(), 5);
@@ -4969,17 +4781,16 @@ mod tests {
 
     #[test]
     fn eviction_removes_a_pending_batchmate_without_poisoning_the_run() {
-        // Satellite bugfix-by-construction: DropLowestPriority can evict a
-        // request already grouped (same fingerprint, same lane) into a
-        // pending batch; the victim resolves typed and the surviving
+        // Bugfix by construction: a full queue can evict a request already
+        // grouped (same fingerprint, same lane) into a pending batch; the victim resolves typed and the surviving
         // batchmates' tickets stay intact.
-        let (pool, corpus) = routed_pool(
-            RoutingConfig::default().with_max_batch(16),
-            Some(AdmissionConfig::bounded(3).with_shed_policy(ShedPolicy::DropLowestPriority)),
+        let (pool, corpus) = one_shard_pool(
+            AdmissionConfig::bounded(3),
+            Some(RoutingConfig::default().with_max_batch(16)),
         );
         let matrix = Arc::clone(&corpus[0]);
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         // Three best-effort batchmates fill the bounded queue exactly.
         let batchmates: Vec<Ticket> = (0..3)
@@ -4997,8 +4808,8 @@ mod tests {
             ServingRequest::select(Arc::clone(&matrix), 19).with_priority(Priority::Interactive),
         );
         wait_for_forwards(&pool, 5);
-        open(&pin);
-        let outcomes: Vec<_> = batchmates.into_iter().map(Ticket::wait).collect();
+        pin.open();
+        let outcomes: Vec<_> = batchmates.into_iter().map(wait_bounded).collect();
         assert_eq!(
             outcomes[2],
             Err(ServingError::Shed {
@@ -5007,8 +4818,8 @@ mod tests {
             "the newest batchmate is the eviction victim"
         );
         assert!(outcomes[0].is_ok() && outcomes[1].is_ok(), "{outcomes:?}");
-        assert!(vip.wait().is_ok());
-        assert!(pinned.wait().is_ok());
+        assert!(wait_bounded(vip).is_ok());
+        assert!(wait_bounded(pinned).is_ok());
         let stats = pool.shutdown();
         assert_eq!(stats.served(), 4);
         assert_eq!(stats.shed(), 1);
@@ -5023,57 +4834,15 @@ mod tests {
     }
 
     #[test]
-    fn full_routing_stage_sheds_typed_on_try_submit_and_blocks_on_submit() {
-        // Stage capacity 1 with the worker wedged behind a full shard
-        // queue: the stage fills, try_submit sheds typed, and the counter
-        // feeds the offered/shed balance.
-        let (pool, corpus) = routed_pool(
-            RoutingConfig::default().with_stage_capacity(1),
-            Some(AdmissionConfig::bounded(1)),
-        );
-        let matrix = Arc::clone(&corpus[0]);
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
-        wait_for_dequeues(&pool, Priority::Interactive, 1);
-        // One job fills the bounded shard queue...
-        let queued = pool.submit(ServingRequest::select(Arc::clone(&matrix), 19));
-        wait_for_forwards(&pool, 2);
-        // ...the next wedges the routing worker in its backpressure wait...
-        let staged = pool.submit(ServingRequest::select(Arc::clone(&matrix), 19));
-        // ...and a fourth finds the stage itself full.
-        let shed = loop {
-            match pool.try_submit(ServingRequest::select(Arc::clone(&matrix), 19)) {
-                SubmitOutcome::Shed { reason } => break reason,
-                // The worker may not have popped `staged` yet; accepted
-                // submits just deepen the stage until it reports full.
-                SubmitOutcome::Accepted(_) => continue,
-            }
-        };
-        assert_eq!(shed, ShedReason::RoutingStageFull);
-        open(&pin);
-        assert!(pinned.wait().is_ok());
-        assert!(queued.wait().is_ok());
-        assert!(staged.wait().is_ok());
-        pool.drain();
-        let stats = pool.shutdown();
-        assert!(stats.routing.shed_stage_full >= 1);
-        assert_eq!(
-            stats.served() + stats.shed() + stats.expired() + stats.failed(),
-            stats.offered()
-        );
-        assert_eq!(stats.routing.in_stage, 0);
-    }
-
-    #[test]
     fn begin_shutdown_racing_the_routing_worker_resolves_every_staged_ticket() {
         // Wedge the routing worker behind a full shard queue with more work
         // parked in the stage, then begin_shutdown: every in-stage ticket
         // must resolve typed PoolClosed — never hang, never leak.
         let (pool, corpus) =
-            routed_pool(RoutingConfig::default(), Some(AdmissionConfig::bounded(1)));
+            one_shard_pool(AdmissionConfig::bounded(1), Some(RoutingConfig::default()));
         let matrix = Arc::clone(&corpus[0]);
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         let queued = pool.submit(ServingRequest::select(Arc::clone(&matrix), 19));
         wait_for_forwards(&pool, 2);
@@ -5082,9 +4851,9 @@ mod tests {
             .map(|_| pool.submit(ServingRequest::select(Arc::clone(&matrix), 19)))
             .collect();
         pool.begin_shutdown();
-        open(&pin);
-        assert!(pinned.wait().is_ok());
-        assert!(queued.wait().is_ok());
+        pin.open();
+        assert!(wait_bounded(pinned).is_ok());
+        assert!(wait_bounded(queued).is_ok());
         let mut closed = 0;
         for mut ticket in staged {
             match ticket
@@ -5113,11 +4882,14 @@ mod tests {
     fn chaos_workloads_and_mixed_kinds_never_coalesce() {
         // batchable() is conservative: select-only and execute runs never
         // mix, and chaos workloads always serve alone.
-        let (pool, corpus) = routed_pool(RoutingConfig::default().with_max_batch(16), None);
+        let (pool, corpus) = one_shard_pool(
+            AdmissionConfig::default(),
+            Some(RoutingConfig::default().with_max_batch(16)),
+        );
         let matrix = Arc::clone(&corpus[0]);
         let x = Arc::new(vec![1.0; matrix.cols()]);
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         // Alternating kinds with the same fingerprint: runs break at every
         // kind boundary, so no batch ever forms.
@@ -5135,11 +4907,11 @@ mod tests {
             })
             .collect();
         wait_for_forwards(&pool, 7);
-        open(&pin);
+        pin.open();
         for ticket in tickets {
-            let _ = ticket.wait().expect("healthy worker");
+            let _ = wait_bounded(ticket).expect("healthy worker");
         }
-        assert!(pinned.wait().is_ok());
+        assert!(wait_bounded(pinned).is_ok());
         let stats = pool.shutdown();
         assert_eq!(stats.served(), 7);
         assert_eq!(
@@ -5152,14 +4924,17 @@ mod tests {
     #[test]
     fn coalesced_run_on_a_dead_device_counts_like_runs_of_one() {
         const K: u64 = 6;
-        let (pool, corpus) = routed_pool(RoutingConfig::default().with_max_batch(16), None);
+        let (pool, corpus) = one_shard_pool(
+            AdmissionConfig::default(),
+            Some(RoutingConfig::default().with_max_batch(16)),
+        );
         let matrix = Arc::clone(&corpus[0]);
         let x = Arc::new(vec![1.0; matrix.cols()]);
         let device = DeviceId::DEFAULT;
         pool.fleet().fail_device(device).unwrap();
         // Selection executes nothing, so the gate job itself is served.
-        let (pin_request, pin) = gate_request(Arc::clone(&matrix));
-        let pinned = pool.submit(pin_request);
+        let pin = TestGate::new();
+        let pinned = pool.submit(pin.request(Arc::clone(&matrix)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         let tickets: Vec<Ticket> = (0..K)
             .map(|_| {
@@ -5171,11 +4946,14 @@ mod tests {
             })
             .collect();
         wait_for_forwards(&pool, K + 1);
-        open(&pin);
+        pin.open();
         for ticket in tickets {
-            assert_eq!(ticket.wait(), Err(ServingError::DeviceFailed { device }));
+            assert_eq!(
+                wait_bounded(ticket),
+                Err(ServingError::DeviceFailed { device })
+            );
         }
-        assert!(pinned.wait().is_ok());
+        assert!(wait_bounded(pinned).is_ok());
         let stats = pool.shutdown();
         // The K requests coalesced into one run ...
         assert_eq!(stats.routing.batch_activations, 1);
@@ -5199,14 +4977,8 @@ mod tests {
 
     #[test]
     fn routing_config_builders_and_stats_helpers() {
-        let config = RoutingConfig::default()
-            .with_stage_capacity(64)
-            .with_max_batch(4);
-        assert_eq!(config.stage_capacity, 64);
-        assert_eq!(config.max_batch, 4);
-        let default = RoutingConfig::default();
-        assert_eq!(default.stage_capacity, 1024);
-        assert_eq!(default.max_batch, 8);
+        assert_eq!(RoutingConfig::default().with_max_batch(4).max_batch, 4);
+        assert_eq!(RoutingConfig::default().max_batch, 8);
         let mut stats = RoutingPoolStats {
             batched_requests: 12,
             batch_activations: 3,
@@ -5215,15 +4987,6 @@ mod tests {
         assert_eq!(stats.mean_batch_size(), 4.0);
         stats.batch_activations = 0;
         assert_eq!(stats.mean_batch_size(), 0.0);
-    }
-
-    /// [`Ticket::wait`] under a 30 s bound: an unresolved ticket fails the
-    /// test instead of hanging it.
-    fn wait_bounded(mut ticket: Ticket) -> Result<ServingResponse, ServingError> {
-        if ticket.wait_timeout(Duration::from_secs(30))?.is_none() {
-            panic!("ticket unresolved after 30 s: the serving pool hung");
-        }
-        ticket.wait()
     }
 
     #[test]
@@ -5241,8 +5004,8 @@ mod tests {
                 pool.shard_for(m) == home && m.sparsity_fingerprint() != a.sparsity_fingerprint()
             })
             .expect("a second matrix homed on the same shard");
-        let (gate_request, gate) = gate_request(Arc::clone(&a));
-        let gated = pool.submit(gate_request);
+        let gate = TestGate::new();
+        let gated = pool.submit(gate.request(Arc::clone(&a)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         let mut other = pool.submit(ServingRequest::select(Arc::clone(&b), 19));
         let served = other
@@ -5251,7 +5014,7 @@ mod tests {
         let gate_still_closed = !gated.is_done();
         // Open the gate before asserting: a failed assertion must not leave
         // the pool's drop joining a parked worker.
-        open(&gate);
+        gate.open();
         let response = served
             .expect("healthy worker")
             .expect("B must not queue behind the parked activation of A");
@@ -5274,14 +5037,14 @@ mod tests {
         let a = Arc::new(entries[0].matrix.clone());
         let home = pool.shard_for(&a);
         let x = Arc::new(vec![1.0; a.cols()]);
-        let (gate_request, gate) = gate_request(Arc::clone(&a));
-        let gated = pool.submit(gate_request);
+        let gate = TestGate::new();
+        let gated = pool.submit(gate.request(Arc::clone(&a)));
         wait_for_dequeues(&pool, Priority::Interactive, 1);
         let mut execute = pool.submit(ServingRequest::execute(Arc::clone(&a), x, 1));
         let early = execute
             .wait_timeout(Duration::from_millis(100))
             .map(|response| response.is_some());
-        open(&gate);
+        gate.open();
         assert_eq!(
             early,
             Ok(false),
@@ -5370,11 +5133,10 @@ mod tests {
     }
 
     /// Runs `task` on its own thread and waits at most `bound` for it: a
-    /// task that never returns fails with `what` and the round's seed
-    /// instead of hanging the test.
+    /// task that never returns fails naming `what` instead of hanging the
+    /// test.
     fn within<T: Send + 'static>(
         bound: Duration,
-        seed: u64,
         what: &str,
         task: impl FnOnce() -> T + Send + 'static,
     ) -> T {
@@ -5388,10 +5150,10 @@ mod tests {
                 value
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                panic!("missed wake-up: {what} still blocked after {bound:?}, seed {seed}")
+                panic!("missed wake-up: {what} still blocked after {bound:?}")
             }
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                panic!("{what} panicked, seed {seed}")
+                panic!("{what} panicked")
             }
         }
     }
@@ -5399,8 +5161,10 @@ mod tests {
     #[test]
     fn closed_loop_rounds_never_miss_a_wake_up() {
         // Many short rounds over a few repeated matrices, more workers than
-        // cores, with and without routing offload and batching: closed-loop
-        // clients, then a burst that a drain parks behind, then a shutdown.
+        // cores, with and without routing offload and batching, on unbounded
+        // and on bounded front doors: closed-loop clients, then a burst that
+        // a drain parks behind, then a shutdown. On a bounded pool the burst
+        // backpressures its submitter (and, routed, the routing worker).
         // Every wait is bounded: a missed wake-up fails with the round's
         // seed instead of hanging.
         const ROUNDS: u64 = 100;
@@ -5422,6 +5186,9 @@ mod tests {
             let mut config = PoolConfig::with_shards(shards);
             if seed % 2 == 1 {
                 config = config.with_routing(Some(RoutingConfig::default().with_max_batch(4)));
+            }
+            if seed / 2 % 2 == 1 {
+                config = config.with_admission(AdmissionConfig::bounded(2).with_max_in_flight(4));
             }
             let pool = Arc::new(ServingPool::from_engine(&engine, config));
             let clients: Vec<_> = (0..CLIENTS)
@@ -5466,7 +5233,7 @@ mod tests {
                     pool.submit(ServingRequest::select(matrix, 19))
                 })
                 .collect();
-            within(BOUND, seed, "drain", {
+            within(BOUND, &format!("drain, seed {seed}"), {
                 let pool = Arc::clone(&pool);
                 move || pool.drain()
             });
@@ -5475,7 +5242,9 @@ mod tests {
                 "seed {seed}: drain returned before its burst resolved"
             );
             let pool = Arc::into_inner(pool).expect("clients joined");
-            let stats = within(BOUND, seed, "shutdown", move || pool.shutdown());
+            let stats = within(BOUND, &format!("shutdown, seed {seed}"), move || {
+                pool.shutdown()
+            });
             let offered = CLIENTS * PER_CLIENT as u64 + BURST as u64;
             assert_eq!(stats.served(), offered, "seed {seed}");
             assert_eq!(stats.queue_depth(), 0, "seed {seed}");

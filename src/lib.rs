@@ -65,7 +65,7 @@ pub use seer_core::{
     AdmissionConfig, AdmissionPoolStats, DevicePoolStats, EngineStats, ExplorationPolicy,
     HistogramSnapshot, LatencySnapshot, PoolConfig, PoolStats, Priority, RecalibrationConfig,
     RoutingConfig, RoutingPoolStats, SeerEngine, ServingError, ServingPool, ServingRequest,
-    ServingResponse, ShardStats, ShedPolicy, ShedReason, SubmitOutcome,
+    ServingResponse, ShardStats, ShedReason, SubmitOutcome,
 };
 pub use seer_gpu::{
     DeviceFailed, DeviceId, DeviceRegistry, DeviceStatus, Fleet, FleetHandle, MembershipError,

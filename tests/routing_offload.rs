@@ -72,7 +72,6 @@ fn routed_fleet_pool_matches_a_sequential_replay() {
     }
 
     let stats = pool.shutdown();
-    assert!(stats.routing.enabled);
     assert_eq!(stats.routing.routed_async, stream.len() as u64);
     assert_eq!(stats.routing.submit.count(), stream.len() as u64);
     assert_eq!(stats.routing.in_stage, 0);
